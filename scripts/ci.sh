@@ -115,12 +115,19 @@ echo "wrote artifacts/BENCH_shard.json"
 
 echo "== simd ablation gate + artifact =="
 # A8 record and gate: per-kernel scalar-vs-SIMD speedups plus the
-# layout x simd end-to-end matrix on the Fig. 4 workload.  --gate fails
-# the Release matrix when fewer than 2 kernels reach 1.3x or fused
-# SoA+SIMD runs slower than scalar AoS (auto-skipped when the toolchain
-# could not build an accelerated simd TU); any bit-identity violation
-# fails unconditionally.
+# engine x simd end-to-end matrix on the Fig. 4 workload.  --gate fails
+# the Release matrix when fewer than 2 kernels reach 1.3x or fused SIMD
+# runs slower than fused scalar (auto-skipped when the toolchain could
+# not build an accelerated simd TU); any bit-identity violation fails
+# unconditionally.
 ./build-ci-Release/bench/ablation_simd --cells 96 --steps 20 \
     --gate --json artifacts/BENCH_simd.json
 echo "wrote artifacts/BENCH_simd.json"
+
+echo "== benchmark self-test =="
+# sacbench/ compiles src/ on its own (neither ctest nor the builds above
+# touch it), so an API change that breaks it only shows here: build it,
+# check every workload's metric set, and check that a corrupted
+# reference hash fails the run.
+python3 sacbench/selftest.py
 echo "== CI matrix passed =="

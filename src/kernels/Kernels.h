@@ -9,12 +9,10 @@
 /// The unified kernel layer both engines lower their hot loops onto.
 ///
 /// Every kernel operates on a contiguous run of cells described by a
-/// Run/ConstRun view: one pointer per conserved component plus a shared
-/// element stride.  AoS storage presents as stride NumVars with the
-/// component pointers offset inside the first record; SoA storage
-/// presents as stride 1 with one pointer per plane.  No NDArray (or any
-/// container) appears in these signatures — the engines translate their
-/// index spaces into runs, and this layer owns the arithmetic.
+/// Run/ConstRun view: one pointer per conserved component, each into its
+/// own unit-stride SoA plane.  No NDArray (or any container) appears in
+/// these signatures — the engines translate their index spaces into
+/// runs, and this layer owns the arithmetic.
 ///
 /// Each kernel exists twice, in scalarimpl:: (compiled with vectorization
 /// disabled — the honest scalar baseline) and simdimpl:: (compiled with
@@ -39,58 +37,26 @@
 
 #include <cassert>
 #include <cstddef>
-#include <type_traits>
 
 namespace sacfd {
 namespace kernels {
 
-/// Mutable view of a contiguous run of cells: component pointers at the
-/// run's first cell, all advanced by Stride elements per cell.
+/// Mutable view of a contiguous run of cells: one pointer per component
+/// plane, at the run's first cell.
 template <unsigned Dim> struct Run {
   double *C[NumVars<Dim>] = {};
-  ptrdiff_t Stride = 1;
 };
 
 /// Read-only run view.
 template <unsigned Dim> struct ConstRun {
   const double *C[NumVars<Dim>] = {};
-  ptrdiff_t Stride = 1;
 
   ConstRun() = default;
-  ConstRun(const Run<Dim> &R) : Stride(R.Stride) {
+  ConstRun(const Run<Dim> &R) {
     for (unsigned K = 0; K < NumVars<Dim>; ++K)
       C[K] = R.C[K];
   }
 };
-
-/// The kernel layer reinterprets Cons records as component doubles; both
-/// facts below are what make that well-defined.
-template <unsigned Dim> constexpr void assertConsLayout() {
-  static_assert(std::is_standard_layout_v<Cons<Dim>>,
-                "Cons must be reinterpretable as doubles");
-  static_assert(sizeof(Cons<Dim>) == NumVars<Dim> * sizeof(double),
-                "Cons must pack its components with no padding");
-}
-
-/// Run over interleaved Cons records starting at \p P.
-template <unsigned Dim> inline Run<Dim> aosRun(Cons<Dim> *P) {
-  assertConsLayout<Dim>();
-  Run<Dim> R;
-  double *B = reinterpret_cast<double *>(P);
-  for (unsigned K = 0; K < NumVars<Dim>; ++K)
-    R.C[K] = B + K;
-  R.Stride = NumVars<Dim>;
-  return R;
-}
-template <unsigned Dim> inline ConstRun<Dim> aosRun(const Cons<Dim> *P) {
-  assertConsLayout<Dim>();
-  ConstRun<Dim> R;
-  const double *B = reinterpret_cast<const double *>(P);
-  for (unsigned K = 0; K < NumVars<Dim>; ++K)
-    R.C[K] = B + K;
-  R.Stride = NumVars<Dim>;
-  return R;
-}
 
 /// Run over SoA planes: component K lives at Base + K * PlaneStride,
 /// and the run starts \p Offset cells into each plane.
@@ -99,7 +65,6 @@ inline Run<Dim> soaRun(double *Base, size_t PlaneStride, size_t Offset) {
   Run<Dim> R;
   for (unsigned K = 0; K < NumVars<Dim>; ++K)
     R.C[K] = Base + K * PlaneStride + Offset;
-  R.Stride = 1;
   return R;
 }
 template <unsigned Dim>
@@ -108,41 +73,38 @@ inline ConstRun<Dim> soaRun(const double *Base, size_t PlaneStride,
   ConstRun<Dim> R;
   for (unsigned K = 0; K < NumVars<Dim>; ++K)
     R.C[K] = Base + K * PlaneStride + Offset;
-  R.Stride = 1;
   return R;
 }
 
 /// \returns \p R advanced by \p Cells cells.
 template <unsigned Dim> inline Run<Dim> advance(Run<Dim> R, ptrdiff_t Cells) {
   for (unsigned K = 0; K < NumVars<Dim>; ++K)
-    R.C[K] += Cells * R.Stride;
+    R.C[K] += Cells;
   return R;
 }
 template <unsigned Dim>
 inline ConstRun<Dim> advance(ConstRun<Dim> R, ptrdiff_t Cells) {
   for (unsigned K = 0; K < NumVars<Dim>; ++K)
-    R.C[K] += Cells * R.Stride;
+    R.C[K] += Cells;
   return R;
 }
 
 /// Scalar element access through a run (boundaries, tests, staging).
 template <unsigned Dim>
 inline Cons<Dim> loadCons(const ConstRun<Dim> &R, size_t I) {
-  const ptrdiff_t O = static_cast<ptrdiff_t>(I) * R.Stride;
   Cons<Dim> Q;
-  Q.Rho = R.C[0][O];
+  Q.Rho = R.C[0][I];
   for (unsigned D = 0; D < Dim; ++D)
-    Q.Mom[D] = R.C[1 + D][O];
-  Q.E = R.C[Dim + 1][O];
+    Q.Mom[D] = R.C[1 + D][I];
+  Q.E = R.C[Dim + 1][I];
   return Q;
 }
 template <unsigned Dim>
 inline void storeCons(const Run<Dim> &R, size_t I, const Cons<Dim> &Q) {
-  const ptrdiff_t O = static_cast<ptrdiff_t>(I) * R.Stride;
-  R.C[0][O] = Q.Rho;
+  R.C[0][I] = Q.Rho;
   for (unsigned D = 0; D < Dim; ++D)
-    R.C[1 + D][O] = Q.Mom[D];
-  R.C[Dim + 1][O] = Q.E;
+    R.C[1 + D][I] = Q.Mom[D];
+  R.C[Dim + 1][I] = Q.E;
 }
 
 /// True when the per-line flux kernel applies: piecewise-constant
@@ -230,11 +192,9 @@ template <unsigned Dim>
 inline void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,
                       const Run<Dim> &F, const Gas &G, unsigned Axis,
                       RiemannKind Kind, size_t N, bool Simd) {
-  // The branch-free SIMD mirror covers the unit-stride (SoA) runs of the
-  // three algebraic solvers; Roe's eigen-decomposition and AoS gathers
-  // stay on the reference loop.
-  bool Vector = Simd && Kind != RiemannKind::Roe && L.Stride == 1 &&
-                R.Stride == 1 && F.Stride == 1;
+  // The branch-free SIMD mirror covers the three algebraic solvers;
+  // Roe's eigen-decomposition stays on the reference loop.
+  bool Vector = Simd && Kind != RiemannKind::Roe;
   (Vector ? simdimpl::fluxFaces<Dim> : scalarimpl::fluxFaces<Dim>)(
       L, R, F, G, Axis, Kind, N);
 }

@@ -55,9 +55,8 @@ enum class ArrayEvalMode {
 template <unsigned Dim> class ArraySolver final : public EulerSolver<Dim> {
 public:
   ArraySolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
-              ArrayEvalMode Mode = ArrayEvalMode::Fused,
-              Layout FieldLayout = Layout::AoS, bool Simd = true)
-      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, FieldLayout, Simd),
+              ArrayEvalMode Mode = ArrayEvalMode::Fused, bool Simd = true)
+      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, Simd),
         Mode(Mode) {}
 
   const char *engineName() const override { return "array"; }
@@ -141,8 +140,7 @@ private:
 
     // Q^n snapshot for the convex Runge-Kutta combinations.  Leased
     // uninitialized: the copy overwrites every element.
-    Field<Dim> Un(this->Pool, this->U.shape(), this->U.layout(),
-                  FieldInit::Uninit);
+    Field<Dim> Un(this->Pool, this->U.shape(), FieldInit::Uninit);
     {
       telemetry::ScopedSpan S(SpanSnapshot);
       kernels::copyState<Dim>(this->U.crun(), Un.run(), this->U.size(),
@@ -194,7 +192,7 @@ private:
 
     Shape Faces = G.interiorShape();
     Faces.dim(Axis) += 1;
-    Field<Dim> Out(this->Pool, Faces, this->U.layout(), FieldInit::Uninit);
+    Field<Dim> Out(this->Pool, Faces, FieldInit::Uninit);
 
     if (kernels::fluxKernelEligible(SC.Recon)) {
       size_t RowLen = Faces.dim(LineAxis);
@@ -227,21 +225,28 @@ private:
     std::ptrdiff_t Ng = G.ghost();
     std::ptrdiff_t StorageMax =
         static_cast<std::ptrdiff_t>(this->U.shape().dim(Axis)) - 1;
+    std::ptrdiff_t AxisStride =
+        static_cast<std::ptrdiff_t>(this->StorageStride[Axis]);
+    const kernels::ConstRun<Dim> URun = this->U.crun();
     // genarray with-loop over faces: gather the 6-cell stencil along the
     // axis, reconstruct, solve the face Riemann problem.
-    forEachIndex(Faces, this->Exec, [&, Ng, StorageMax,
+    forEachIndex(Faces, this->Exec, [&, Ng, StorageMax, AxisStride,
                                      Axis](const Index &Fv, size_t Linear) {
+      // Storage offset of the face's R cell (interior cell f along the
+      // axis), located once; the window walks the axis stride from it.
+      std::ptrdiff_t Base = 0;
+      for (unsigned A = 0; A < Dim; ++A)
+        Base += (Fv.Coord[A] + Ng) *
+                static_cast<std::ptrdiff_t>(this->StorageStride[A]);
+      const std::ptrdiff_t AxisPos = Fv.Coord[Axis] + Ng;
       std::array<Cons<Dim>, 6> Stencil;
       for (unsigned K = 0; K < 6; ++K) {
-        Index C = Fv;
-        for (unsigned A = 0; A < Dim; ++A)
-          C.Coord[A] += Ng;
         // Window cell K sits at interior offset f - 3 + K along the axis;
         // clamp the unused outermost cells into storage.
-        C.Coord[Axis] += static_cast<std::ptrdiff_t>(K) - 3;
-        C.Coord[Axis] =
-            std::clamp<std::ptrdiff_t>(C.Coord[Axis], 0, StorageMax);
-        Stencil[K] = this->U.at(C);
+        std::ptrdiff_t Pos = std::clamp<std::ptrdiff_t>(
+            AxisPos + static_cast<std::ptrdiff_t>(K) - 3, 0, StorageMax);
+        Stencil[K] = kernels::loadCons<Dim>(
+            URun, static_cast<size_t>(Base + (Pos - AxisPos) * AxisStride));
       }
       FaceStates<Dim> FS = reconstructFaceStates(SC.Recon, SC.Limiter,
                                                  SC.Vars, Stencil, Gas_,
@@ -287,8 +292,7 @@ private:
     for (unsigned A = 0; A + 1 < Dim; ++A)
       Lead.dim(A) = Interior.dim(A);
 
-    Field<Dim> Res(this->Pool, Interior, this->U.layout(),
-                   FieldInit::Uninit);
+    Field<Dim> Res(this->Pool, Interior, FieldInit::Uninit);
     this->Exec.parallelFor(0, Rows, [&](size_t RB, size_t RE) {
       for (size_t R = RB; R != RE; ++R) {
         Index L = Lead.delinearize(R);
@@ -322,7 +326,7 @@ private:
     const Grid<Dim> &G = this->Prob.Domain;
     Shape Interior = G.interiorShape();
 
-    // Q^n snapshot, staged through the AoS interchange copy.
+    // Q^n snapshot, staged through the Cons-record interchange copy.
     FieldPool::Lease<Cons<Dim>> UnL =
         this->Pool.template acquireUninit<Cons<Dim>>(this->U.shape());
     NDArray<Cons<Dim>> &Un = *UnL;

@@ -22,7 +22,6 @@
 #define SACFD_SOLVER_EULERSOLVER_H
 
 #include "array/FieldPool.h"
-#include "array/Layout.h"
 #include "array/NDArray.h"
 #include "runtime/Backend.h"
 #include "solver/Field.h"
@@ -56,13 +55,11 @@ inline bool stepRemainderNegligible(double Now, double EndTime) {
 template <unsigned Dim> class EulerSolver {
 public:
   EulerSolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
-              Layout FieldLayout = Layout::AoS, bool Simd = true)
+              bool Simd = true)
       : Prob(std::move(Prob)), Scheme(Scheme), Exec(Exec),
-        U(Pool, this->Prob.Domain.storageShape(), FieldLayout),
-        SimdEnabled(Simd) {
+        U(Pool, this->Prob.Domain.storageShape()), SimdEnabled(Simd) {
     assert(this->Prob.Domain.ghost() >= ghostCells(Scheme.Recon) &&
            "grid ghost layers insufficient for the reconstruction");
-    Pool.setLayout(FieldLayout);
     const Grid<Dim> &G = this->Prob.Domain;
     Shape Storage = G.storageShape();
     for (unsigned A = 0; A < Dim; ++A) {
@@ -108,14 +105,10 @@ public:
 
   /// The full field including ghost cells (shape == storageShape()).
   /// Element access goes through Field::at()/set(); bulk transfers
-  /// through Field::exportTo()/importFrom().  The old accessors handing
-  /// out the raw interleaved NDArray are gone — they pinned every
-  /// consumer to the AoS layout.
+  /// through Field::exportTo()/importFrom().
   const Field<Dim> &field() const { return U; }
   Field<Dim> &field() { return U; }
 
-  /// Memory layout the state field is stored under.
-  Layout fieldLayout() const { return U.layout(); }
   /// Whether stage kernels may use the vectorized build.
   bool simdEnabled() const { return SimdEnabled; }
 
@@ -323,12 +316,16 @@ protected:
     const Grid<Dim> &G = Prob.Domain;
     Shape Interior = G.interiorShape();
     Index Iv = Interior.delinearize(0);
+    // One run over the whole field, built once: the per-cell set() would
+    // rebuild the plane pointers around every opaque InitialState call.
+    kernels::Run<Dim> All = U.run();
     if (Interior.count() > 0) {
       do {
         std::array<double, Dim> X;
         for (unsigned A = 0; A < Dim; ++A)
           X[A] = G.cellCenter(A, Iv.Coord[A]);
-        U.set(G.toStorage(Iv), toCons(Prob.InitialState(X), Prob.G));
+        kernels::storeCons<Dim>(All, U.shape().linearize(G.toStorage(Iv)),
+                                toCons(Prob.InitialState(X), Prob.G));
       } while (Interior.increment(Iv));
     }
     applyBoundaries(U, G, Prob.Boundary, Exec, Time);

@@ -24,9 +24,9 @@
 /// The loop bodies themselves are the shared kernels:: layer: snapshot,
 /// RHS zeroing, the SSP update and the GetDT reduction always run as
 /// contiguous line runs, and under piecewise-constant reconstruction the
-/// face fluxes do too — so with --layout soa the hot loops execute the
-/// vectorized kernel build.  Higher-order schemes keep the per-face
-/// stencil gather for reconstruction.
+/// face fluxes do too — so the hot loops execute the vectorized kernel
+/// build over the field's SoA planes.  Higher-order schemes keep the
+/// per-face stencil gather for reconstruction.
 ///
 /// On a TaskBackend the engine additionally offers a dependency-DAG step
 /// mode (enableDagStepping): one step becomes per-tile snapshot, flux and
@@ -65,8 +65,8 @@ namespace sacfd {
 template <unsigned Dim> class FusedSolver final : public EulerSolver<Dim> {
 public:
   FusedSolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
-              Layout FieldLayout = Layout::AoS, bool Simd = true)
-      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, FieldLayout, Simd) {}
+              bool Simd = true)
+      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, Simd) {}
 
   const char *engineName() const override { return "fused"; }
 
@@ -186,11 +186,9 @@ private:
   void acquireStepBuffers() {
     const Grid<Dim> &G = this->Prob.Domain;
     if (Un.shape() != this->U.shape())
-      Un = Field<Dim>(this->Pool, this->U.shape(), this->U.layout(),
-                      FieldInit::Uninit);
+      Un = Field<Dim>(this->Pool, this->U.shape(), FieldInit::Uninit);
     if (Res.shape() != G.interiorShape())
-      Res = Field<Dim>(this->Pool, G.interiorShape(), this->U.layout(),
-                       FieldInit::Uninit);
+      Res = Field<Dim>(this->Pool, G.interiorShape(), FieldInit::Uninit);
   }
 
   /// True when the \p Axis sweep runs whole face rows through
@@ -293,8 +291,7 @@ private:
     constexpr unsigned Axis = Dim - 1;
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
     size_t LocalFaces = (CellEnd - CellBegin) + 1;
-    kernels::Run<Dim> FluxRow =
-        fluxScratchRow<Dim>(0, 1, LocalFaces, this->U.layout());
+    kernels::Run<Dim> FluxRow = fluxScratchRow<Dim>(0, 1, LocalFaces);
     for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
       size_t Base = this->lineStorageBase(Axis, Line) + CellBegin;
       // Face f (local) sits between storage cells Base+f-1 and Base+f;
@@ -329,9 +326,8 @@ private:
       return (this->Ng + F) * S0 + this->Ng + LineBegin;
     };
 
-    kernels::Run<Dim> Rows[2] = {
-        fluxScratchRow<Dim>(0, 2, W, this->U.layout()),
-        fluxScratchRow<Dim>(1, 2, W, this->U.layout())};
+    kernels::Run<Dim> Rows[2] = {fluxScratchRow<Dim>(0, 2, W),
+                                 fluxScratchRow<Dim>(1, 2, W)};
     kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(CellBegin) - S0),
                             this->U.crun(FaceRowBase(CellBegin)), Rows[0],
                             this->Prob.G, /*Axis=*/0, this->Scheme.Riemann,

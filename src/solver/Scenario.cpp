@@ -296,7 +296,7 @@ namespace {
 
 template <unsigned Dim>
 SpecParse<PinnedResult> runPinnedImpl(const Scenario<Dim> &S,
-                                      EngineKind Engine, Layout FieldLayout,
+                                      EngineKind Engine,
                                       std::optional<uint64_t> Expected) {
   using Result = SpecParse<PinnedResult>;
 
@@ -325,17 +325,15 @@ SpecParse<PinnedResult> runPinnedImpl(const Scenario<Dim> &S,
   case EngineKind::Array:
     Solver = std::make_unique<ArraySolver<Dim>>(std::move(*Built.Value),
                                                 Scheme, *Exec,
-                                                ArrayEvalMode::Fused,
-                                                FieldLayout);
+                                                ArrayEvalMode::Fused);
     break;
   case EngineKind::ArrayMaterialized:
     Solver = std::make_unique<ArraySolver<Dim>>(
-        std::move(*Built.Value), Scheme, *Exec, ArrayEvalMode::Materialized,
-        FieldLayout);
+        std::move(*Built.Value), Scheme, *Exec, ArrayEvalMode::Materialized);
     break;
   case EngineKind::Fused:
     Solver = std::make_unique<FusedSolver<Dim>>(std::move(*Built.Value),
-                                                Scheme, *Exec, FieldLayout);
+                                                Scheme, *Exec);
     break;
   }
 
@@ -359,15 +357,14 @@ SpecParse<PinnedResult> runPinnedImpl(const Scenario<Dim> &S,
 } // namespace
 
 SpecParse<PinnedResult> sacfd::runPinnedScenario(std::string_view Name,
-                                                 EngineKind Engine,
-                                                 Layout FieldLayout) {
+                                                 EngineKind Engine) {
   using Result = SpecParse<PinnedResult>;
   const ScenarioRegistry &R = ScenarioRegistry::instance();
   std::optional<uint64_t> Expected = R.referenceHash(Name);
   if (const Scenario<1> *S = R.find<1>(Name))
-    return runPinnedImpl(*S, Engine, FieldLayout, Expected);
+    return runPinnedImpl(*S, Engine, Expected);
   if (const Scenario<2> *S = R.find<2>(Name))
-    return runPinnedImpl(*S, Engine, FieldLayout, Expected);
+    return runPinnedImpl(*S, Engine, Expected);
   return Result::fail("unknown scenario '" + std::string(Name) +
                       "'; known scenarios: " + R.namesStr());
 }

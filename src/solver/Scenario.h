@@ -321,12 +321,9 @@ struct PinnedResult {
 /// Runs scenario \p Name's pinned configuration on \p Engine (serial
 /// backend, one thread, figure scheme with the scenario tuning applied)
 /// and hashes the final state.  Structured error for unknown names or a
-/// failing factory.  \p FieldLayout selects the conserved-field storage
-/// layout; the hash is layout-independent (fieldStateHash walks logical
-/// cells), so SoA runs must reproduce the same pinned references.
+/// failing factory.
 SpecParse<PinnedResult> runPinnedScenario(std::string_view Name,
-                                          EngineKind Engine,
-                                          Layout FieldLayout = Layout::AoS);
+                                          EngineKind Engine);
 
 /// The one-line recipe for refreshing the reference table after an
 /// intentional numerics change (printed by failing regression checks).

@@ -38,29 +38,28 @@ constexpr unsigned kMeasuredSteps = 4;
 template <unsigned Dim>
 std::unique_ptr<EulerSolver<Dim>> makeSolver(const std::string &Engine,
                                              const Problem<Dim> &Prob,
-                                             Backend &Exec,
-                                             Layout L = Layout::AoS) {
+                                             Backend &Exec) {
   SchemeConfig Scheme = SchemeConfig::benchmarkScheme();
   if (Engine == "array")
     return std::make_unique<ArraySolver<Dim>>(Prob, Scheme, Exec,
-                                              ArrayEvalMode::Fused, L);
+                                              ArrayEvalMode::Fused);
   if (Engine == "array-mat")
-    return std::make_unique<ArraySolver<Dim>>(
-        Prob, Scheme, Exec, ArrayEvalMode::Materialized, L);
-  return std::make_unique<FusedSolver<Dim>>(Prob, Scheme, Exec, L);
+    return std::make_unique<ArraySolver<Dim>>(Prob, Scheme, Exec,
+                                              ArrayEvalMode::Materialized);
+  return std::make_unique<FusedSolver<Dim>>(Prob, Scheme, Exec);
 }
 
 const char *kEngines[] = {"array", "array-mat", "fused"};
 
 /// Warm up, then assert that further steps allocate nothing: the pool's
-/// free lists (and the fused engine's per-thread flux scratch) are primed
-/// after the first step, so the steady-state delta must be exactly zero.
+/// free lists (and the per-thread SoA flux scratch of the kernel path)
+/// are primed after the first step, so the steady-state delta must be
+/// exactly zero.
 template <unsigned Dim>
 void expectZeroSteadyStateAllocs(const Problem<Dim> &Prob, Backend &Exec,
-                                 const std::string &Label,
-                                 Layout L = Layout::AoS) {
+                                 const std::string &Label) {
   for (const char *Engine : kEngines) {
-    std::unique_ptr<EulerSolver<Dim>> S = makeSolver(Engine, Prob, Exec, L);
+    std::unique_ptr<EulerSolver<Dim>> S = makeSolver(Engine, Prob, Exec);
     S->advanceSteps(kWarmupSteps);
     uint64_t Before = alloctrack::allocationCount();
     S->advanceSteps(kMeasuredSteps);
@@ -93,21 +92,6 @@ TEST(AllocationTest, SteadyStateStepsAllocateNothing2D) {
     expectZeroSteadyStateAllocs(Prob, *Exec,
                                 "spin(" + std::to_string(Workers) + ") 2D");
   }
-}
-
-TEST(AllocationTest, SteadyStateStepsAllocateNothingSoA) {
-  // The SoA layout leases per-component plane buffers instead of record
-  // arrays; the zero-allocation steady-state contract must hold there
-  // unchanged (including the kernel path's per-thread SoA flux scratch).
-  SerialBackend Serial;
-  expectZeroSteadyStateAllocs(sodProblem(64), Serial, "serial 1D soa",
-                              Layout::SoA);
-  expectZeroSteadyStateAllocs(shockInteraction2D(16), Serial,
-                              "serial 2D soa", Layout::SoA);
-  auto Exec = createBackend(BackendKind::SpinPool, 4);
-  ASSERT_NE(Exec, nullptr);
-  expectZeroSteadyStateAllocs(shockInteraction2D(16), *Exec, "spin(4) 2D soa",
-                              Layout::SoA);
 }
 
 TEST(AllocationTest, DisabledPoolAllocatesEveryStep) {

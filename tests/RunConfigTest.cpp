@@ -92,33 +92,25 @@ TEST(RunConfigResolve, ParsesLayoutAndSimdFlags) {
     RunConfig Cfg;
     std::string Error;
     ASSERT_TRUE(parseAndResolve(Cfg, {}, &Error)) << Error;
-    EXPECT_EQ(Cfg.FieldLayout, Layout::AoS);
     EXPECT_TRUE(Cfg.Simd);
   }
   {
     RunConfig Cfg;
     std::string Error;
-    ASSERT_TRUE(parseAndResolve(Cfg, {"--layout", "soa", "--no-simd"},
-                                &Error))
-        << Error;
-    EXPECT_EQ(Cfg.FieldLayout, Layout::SoA);
+    ASSERT_TRUE(parseAndResolve(Cfg, {"--no-simd"}, &Error)) << Error;
     EXPECT_FALSE(Cfg.Simd);
-    // Both knobs show up in the one-line execution description.
-    EXPECT_NE(Cfg.executionStr().find("layout=soa"), std::string::npos);
+    // The knob shows up in the one-line execution description.
     EXPECT_NE(Cfg.executionStr().find("no-simd"), std::string::npos);
   }
   {
+    // Fields are always SoA, so there is no layout selector: --layout is
+    // an unknown option like any other.
     RunConfig Cfg;
-    std::string Error;
-    ASSERT_TRUE(parseAndResolve(Cfg, {"--layout", "aos"}, &Error)) << Error;
-    EXPECT_EQ(Cfg.FieldLayout, Layout::AoS);
-  }
-  {
-    RunConfig Cfg;
-    std::string Error;
-    EXPECT_FALSE(parseAndResolve(Cfg, {"--layout", "csr"}, &Error));
-    EXPECT_NE(Error.find("--layout"), std::string::npos) << Error;
-    EXPECT_NE(Error.find("aos|soa"), std::string::npos) << Error;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(parseAndResolve(Cfg, {"--layout", "soa"}));
+    std::string Err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(Err.find("unknown option '--layout'"), std::string::npos)
+        << Err;
   }
 }
 
@@ -126,13 +118,11 @@ TEST(SolverFactory, ThreadsLayoutAndSimdIntoTheEngine) {
   for (const char *Engine : {"array", "array-materialized", "fused"}) {
     RunConfig Cfg;
     std::string Error;
-    ASSERT_TRUE(parseAndResolve(Cfg,
-                                {"--engine", Engine, "--layout", "soa",
-                                 "--no-simd", "--threads", "1"},
-                                &Error))
+    ASSERT_TRUE(parseAndResolve(
+        Cfg, {"--engine", Engine, "--no-simd", "--threads", "1"}, &Error))
         << Error;
     SolverRun<1> Run = makeSolverRun(sodProblem(16), Cfg);
-    EXPECT_EQ(Run.solver().fieldLayout(), Layout::SoA) << Engine;
+    EXPECT_EQ(Run.solver().backend().workerCount(), 1u) << Engine;
     EXPECT_FALSE(Run.solver().simdEnabled()) << Engine;
   }
 }
