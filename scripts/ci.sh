@@ -6,6 +6,8 @@
 #            every build, including the pinned workload-gallery matrix)
 #   Release  everything, including the "slow" tier — the determinism
 #            matrix and the closed-box conservation regression
+#   TSan     BackendTest, DeterminismTest and StepGuardTest under
+#            ThreadSanitizer; any race report fails the run
 #
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
@@ -130,4 +132,16 @@ echo "== benchmark self-test =="
 # check every workload's metric set, and check that a corrupted
 # reference hash fails the run.
 python3 sacbench/selftest.py
+echo "== thread sanitizer =="
+# Race check of the runtime's synchronization.  OpenMP is off because an
+# uninstrumented libgomp makes TSan report false races; halt_on_error
+# turns the first report into a nonzero exit.
+cmake -B build-ci-tsan -S . -DCMAKE_DISABLE_FIND_PACKAGE_OpenMP=ON \
+    -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+cmake --build build-ci-tsan -j "$JOBS" \
+    --target BackendTest DeterminismTest StepGuardTest
+for T in BackendTest DeterminismTest StepGuardTest; do
+  TSAN_OPTIONS=halt_on_error=1 "./build-ci-tsan/tests/$T"
+done
 echo "== CI matrix passed =="

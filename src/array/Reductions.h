@@ -84,12 +84,10 @@ T fold(X &&Operand, T Init, Combine Fn, Backend &Exec) {
 
   Exec.parallelFor(0, Blocks, [&](size_t BlockBegin, size_t BlockEnd) {
     for (size_t Block = BlockBegin; Block != BlockEnd; ++Block) {
-      size_t Base = N / Blocks, Extra = N % Blocks;
-      size_t Lo = Block * Base + std::min<size_t>(Block, Extra);
-      size_t Len = Base + (Block < Extra ? 1 : 0);
+      IterationChunk C = staticBlockShare(N, Blocks, Block);
       T Acc = Init;
-      Index Ix = S.delinearize(Lo);
-      for (size_t Linear = 0; Linear != Len; ++Linear) {
+      Index Ix = S.delinearize(C.Begin);
+      for (size_t Linear = C.Begin; Linear != C.End; ++Linear) {
         Acc = Fn(Acc, static_cast<T>(Ex.eval(Ix)));
         S.increment(Ix);
       }

@@ -48,15 +48,12 @@ T blockReduce(size_t N, Backend &Exec, T Identity, FoldBlock Fold,
   size_t Blocks = std::min<size_t>(Exec.workerCount(), N);
   InlinePartials<T> Partials(Blocks, Identity);
 
-  // Block b covers [Lo, Lo + Len): the first (N % Blocks) blocks are one
-  // element longer, so the partition depends only on N and Blocks.
-  size_t Base = N / Blocks;
-  size_t Extra = N % Blocks;
+  // Block b is staticBlockShare(N, Blocks, b): the partition depends only
+  // on N and Blocks.
   Exec.parallelFor(0, Blocks, [&](size_t BB, size_t BE) {
     for (size_t Block = BB; Block != BE; ++Block) {
-      size_t Lo = Block * Base + std::min(Block, Extra);
-      size_t Len = Base + (Block < Extra ? 1 : 0);
-      Partials[Block] = Fold(Lo, Lo + Len);
+      IterationChunk C = staticBlockShare(N, Blocks, Block);
+      Partials[Block] = Fold(C.Begin, C.End);
     }
   });
 

@@ -48,13 +48,10 @@ public:
       ParallelRegionGuard Guard;
       unsigned W = static_cast<unsigned>(omp_get_thread_num());
       unsigned Actual = static_cast<unsigned>(omp_get_num_threads());
-      // Static block partition identical to SpinBarrierPool::runShare.
-      size_t Base = N / Actual;
-      size_t Extra = N % Actual;
-      size_t MyBegin = Begin + W * Base + (W < Extra ? W : Extra);
-      size_t MyLen = Base + (W < Extra ? 1 : 0);
-      if (MyLen > 0)
-        Body(MyBegin, MyBegin + MyLen);
+      // The spin pool's static block partition.
+      IterationChunk Share = staticBlockShare(N, Actual, W);
+      if (Share.Begin != Share.End)
+        Body(Begin + Share.Begin, Begin + Share.End);
     }
   }
 

@@ -87,16 +87,10 @@ sacfd::staticPartition(size_t N, unsigned Workers, const Schedule &Sched) {
     return Plan;
 
   if (Sched.K == Schedule::Kind::StaticBlock) {
-    // Spread the remainder over the leading workers so block sizes differ
-    // by at most one iteration.
-    size_t Base = N / Workers;
-    size_t Extra = N % Workers;
-    size_t Begin = 0;
     for (unsigned W = 0; W < Workers; ++W) {
-      size_t Len = Base + (W < Extra ? 1 : 0);
-      if (Len > 0)
-        Plan[W].push_back({Begin, Begin + Len});
-      Begin += Len;
+      IterationChunk Share = staticBlockShare(N, Workers, W);
+      if (Share.Begin != Share.End)
+        Plan[W].push_back(Share);
     }
     return Plan;
   }

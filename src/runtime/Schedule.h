@@ -93,6 +93,19 @@ struct IterationChunk {
   size_t End;
 };
 
+/// Worker \p W's block of the static block partition of [0, N) over
+/// \p Workers workers (Schedule::StaticBlock): blocks are contiguous, in
+/// worker order, and the remainder goes to the leading workers, so sizes
+/// differ by at most one iteration.  The block depends only on (N,
+/// Workers, W), which is what keeps block-keyed reductions reproducible.
+/// Empty when N < Workers and W >= N.
+inline IterationChunk staticBlockShare(size_t N, size_t Workers, size_t W) {
+  size_t Base = N / Workers;
+  size_t Extra = N % Workers;
+  size_t Begin = W * Base + (W < Extra ? W : Extra);
+  return {Begin, Begin + Base + (W < Extra ? 1 : 0)};
+}
+
 /// Computes the static partition of [0, N) for \p Workers workers under
 /// \p Sched.  Entry I holds the chunks worker I must execute, in order.
 /// Dynamic schedules have no static partition; calling this with one is a

@@ -9,9 +9,15 @@
 /// The one spin-wait idiom used across the runtime: busy-poll a bounded
 /// number of iterations, then fall back to yield() so an oversubscribed
 /// host (more waiters than hardware threads) cannot starve the very
-/// thread being waited on.  SpinBarrierPool documents the rationale;
-/// the shard mailboxes reuse the same discipline for their inter-process
-/// seqlock waits.
+/// thread being waited on.  WorkerTeam waits this way for its epoch
+/// broadcast and its done-flag barrier, and the shard mailboxes for their
+/// inter-process seqlock waits.
+///
+/// The busy phase deliberately issues no `pause`: on a 4-core x86 host a
+/// pause in this loop made the sharded benchmark run (shard_pc1_ckpt)
+/// slower in 6 of 6 alternating pairs (median step ~16.0 vs ~14.4 ms),
+/// while dropping it from the thread pools left the threaded run
+/// (fig4_pc1_mt) within noise.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,10 +28,13 @@
 
 namespace sacfd {
 
+/// Busy iterations a waiter spins before it starts yielding.
+constexpr unsigned BusySpinLimit = 1u << 14;
+
 /// Spins until \p Done() is true: \p SpinLimit busy iterations, then one
 /// yield() per iteration (0 yields immediately — fully cooperative).
 template <typename Pred>
-void spinThenYieldUntil(Pred &&Done, unsigned SpinLimit = 1u << 14) {
+void spinThenYieldUntil(Pred &&Done, unsigned SpinLimit = BusySpinLimit) {
   unsigned Spins = 0;
   while (!Done()) {
     if (Spins < SpinLimit)

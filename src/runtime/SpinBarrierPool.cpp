@@ -3,97 +3,8 @@
 #include "runtime/SpinBarrierPool.h"
 
 #include "runtime/ParallelRegion.h"
-#include "support/Env.h"
-
-#include <cassert>
 
 using namespace sacfd;
-
-/// Hint to the CPU that we are in a busy-wait loop.
-static inline void cpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-SpinBarrierPool::SpinBarrierPool(unsigned Threads, unsigned SpinLimit)
-    : Threads(Threads), SpinLimit(SpinLimit) {
-  assert(Threads >= 1 && "pool needs at least the calling thread");
-  // Oversubscription adaptation: spinning on a shared core starves the
-  // thread being waited on.  Only applies to the default limit so tests
-  // and ablations can still force pure-spin behavior explicitly.
-  // defaultWorkerCount() clamps an unknown core count to 1, which makes
-  // any multi-worker pool go cooperative there — the safe direction.
-  if (SpinLimit == DefaultSpinLimit && Threads > defaultWorkerCount())
-    this->SpinLimit = 0;
-  if (Threads == 1)
-    return;
-  Done = std::make_unique<DoneFlag[]>(Threads - 1);
-  Workers.reserve(Threads - 1);
-  for (unsigned W = 1; W < Threads; ++W)
-    Workers.emplace_back([this, W] { workerMain(W); });
-}
-
-SpinBarrierPool::~SpinBarrierPool() {
-  if (Workers.empty())
-    return;
-  Stopping.store(true, std::memory_order_release);
-  for (std::thread &T : Workers)
-    T.join();
-}
-
-template <typename Pred> void SpinBarrierPool::spinUntil(Pred &&IsDone) const {
-  unsigned Spins = 0;
-  while (!IsDone()) {
-    if (Spins < SpinLimit) {
-      ++Spins;
-      cpuRelax();
-    } else {
-      // Oversubscription fallback: give the core away so the thread that
-      // owns the work we are waiting for can run.
-      std::this_thread::yield();
-    }
-  }
-}
-
-void SpinBarrierPool::runShare(unsigned WorkerIndex, size_t Begin, size_t End,
-                               RangeBody Body) const {
-  // Static block partition, identical to Schedule::StaticBlock: sizes
-  // differ by at most one iteration, every worker computes its own share
-  // without touching shared state.
-  size_t N = End - Begin;
-  size_t Base = N / Threads;
-  size_t Extra = N % Threads;
-  size_t MyBegin = Begin + WorkerIndex * Base +
-                   (WorkerIndex < Extra ? WorkerIndex : Extra);
-  size_t MyLen = Base + (WorkerIndex < Extra ? 1 : 0);
-  if (MyLen == 0)
-    return;
-  Body(MyBegin, MyBegin + MyLen);
-}
-
-void SpinBarrierPool::workerMain(unsigned WorkerIndex) {
-  uint64_t SeenSeq = 0;
-  while (true) {
-    spinUntil([this, SeenSeq] {
-      return JobSeq.load(std::memory_order_acquire) != SeenSeq ||
-             Stopping.load(std::memory_order_acquire);
-    });
-    uint64_t NewSeq = JobSeq.load(std::memory_order_acquire);
-    if (NewSeq == SeenSeq) {
-      assert(Stopping.load(std::memory_order_acquire) && "spurious wakeup");
-      return;
-    }
-    SeenSeq = NewSeq;
-    {
-      ParallelRegionGuard Guard;
-      runShare(WorkerIndex, JobBegin, JobEnd, Job);
-    }
-    Done[WorkerIndex - 1].Seq.store(SeenSeq, std::memory_order_release);
-  }
-}
 
 void SpinBarrierPool::parallelFor(size_t Begin, size_t End, RangeBody Body) {
   if (Begin >= End)
@@ -107,31 +18,13 @@ void SpinBarrierPool::parallelFor(size_t Begin, size_t End, RangeBody Body) {
   // pool's whole per-region cost.
   static const unsigned Region = telemetry::spanId("region.spin_pool");
   telemetry::ScopedSpan Span(Region);
-  if (Threads == 1) {
-    ParallelRegionGuard Guard;
-    Body(Begin, End);
-    return;
-  }
-
-  // Publish the job.  The previous dispatch fully completed before
-  // parallelFor returned, so the slot is quiescent here.
-  Job = Body;
-  JobBegin = Begin;
-  JobEnd = End;
-  uint64_t Seq = JobSeq.load(std::memory_order_relaxed) + 1;
-  JobSeq.store(Seq, std::memory_order_release);
-
-  // The master is worker 0.
-  {
-    ParallelRegionGuard Guard;
-    runShare(0, Begin, End, Body);
-  }
-
-  // Barrier: wait for every helper to check in for this sequence number.
-  for (unsigned W = 1; W < Threads; ++W)
-    spinUntil([this, W, Seq] {
-      return Done[W - 1].Seq.load(std::memory_order_acquire) == Seq;
-    });
+  // Every worker computes its own share without touching shared state;
+  // the calling thread is worker 0.
+  Team.run([&](unsigned W) {
+    IterationChunk Share = staticBlockShare(End - Begin, Team.size(), W);
+    if (Share.Begin != Share.End)
+      Body(Begin + Share.Begin, Begin + Share.End);
+  });
 }
 
 void SpinBarrierPool::parallelFor2D(size_t Rows, size_t Cols,

@@ -3,66 +3,16 @@
 #include "runtime/TaskBackend.h"
 
 #include "runtime/ParallelRegion.h"
-#include "support/Env.h"
 
 #include <algorithm>
 #include <cassert>
+#include <thread>
 
 using namespace sacfd;
 
-/// Hint to the CPU that we are in a busy-wait loop.
-static inline void cpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-TaskBackend::TaskBackend(unsigned Threads, Schedule Sched, unsigned SpinLimit)
-    : Threads(Threads), Sched(Sched), SpinLimit(SpinLimit) {
-  assert(Threads >= 1 && "pool needs at least the calling thread");
-  // Same oversubscription adaptation as the spin pool: spinning on a
-  // shared core starves the worker being waited on.
-  if (SpinLimit == DefaultSpinLimit && Threads > defaultWorkerCount())
-    this->SpinLimit = 0;
-  Deques = std::make_unique<WorkerDeque[]>(Threads);
-  if (Threads == 1)
-    return;
-  Done = std::make_unique<DoneFlag[]>(Threads - 1);
-  Workers.reserve(Threads - 1);
-  for (unsigned W = 1; W < Threads; ++W)
-    Workers.emplace_back([this, W] { workerMain(W); });
-}
-
-TaskBackend::~TaskBackend() {
-  if (Workers.empty())
-    return;
-  Stopping.store(true, std::memory_order_release);
-  for (std::thread &T : Workers)
-    T.join();
-}
-
-template <typename Pred> void TaskBackend::spinUntil(Pred &&IsDone) const {
-  unsigned Spins = 0;
-  while (!IsDone()) {
-    if (Spins < SpinLimit) {
-      ++Spins;
-      cpuRelax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-}
-
-size_t TaskBackend::taskChunk(size_t N) const {
-  if (Sched.ChunkSize != 0)
-    return Sched.ChunkSize;
-  // Default granularity: ~8 tasks per worker.  Coarser than this and
-  // stealing has nothing to balance; finer and deque traffic starts to
-  // show up against the body cost.
-  return std::max<size_t>(1, N / (8 * static_cast<size_t>(Threads)));
-}
+TaskBackend::TaskBackend(unsigned Threads, Schedule Sched)
+    : Sched(Sched), Deques(std::make_unique<WorkerDeque[]>(Threads)),
+      Team(Threads) {}
 
 bool TaskBackend::popOwn(unsigned W, size_t &Item) {
   WorkerDeque &D = Deques[W];
@@ -79,6 +29,7 @@ bool TaskBackend::stealInto(unsigned W, size_t &Item) {
   // back (LIFO, cache-warm), thieves take the oldest half in one lock
   // acquisition so a load imbalance is halved per steal, not nibbled.
   std::vector<size_t> &Scratch = Deques[W].Scratch;
+  unsigned Threads = Team.size();
   for (unsigned Hop = 1; Hop < Threads; ++Hop) {
     unsigned V = (W + Hop) % Threads;
     WorkerDeque &D = Deques[V];
@@ -111,15 +62,10 @@ bool TaskBackend::stealInto(unsigned W, size_t &Item) {
 void TaskBackend::runItem(unsigned W, size_t Item) {
   if (Kind == JobKind::Range) {
     size_t B = JobBegin + Item * Chunk;
-    size_t E = std::min(B + Chunk, JobEnd);
-    ParallelRegionGuard Guard;
-    Body(B, E);
+    Body(B, std::min(B + Chunk, JobEnd));
     return;
   }
-  {
-    ParallelRegionGuard Guard;
-    DagRun(Dag->Payloads[Item]);
-  }
+  DagRun(Dag->Payloads[Item]);
   // Release successors; newly-ready tasks go onto the finishing worker's
   // own deque (depth-first through the graph, warm data stays local —
   // thieves re-balance whatever piles up).
@@ -141,45 +87,19 @@ void TaskBackend::participate(unsigned W) {
       // acq_rel: publishes the item's side effects to whoever observes
       // Pending reach 0 (the master's return is the completion barrier).
       Pending.fetch_sub(1, std::memory_order_acq_rel);
-    } else if (Idle < SpinLimit) {
+    } else if (Idle < Team.spinLimit()) {
       ++Idle;
-      cpuRelax();
     } else {
       std::this_thread::yield();
     }
   }
 }
 
-void TaskBackend::workerMain(unsigned W) {
-  uint64_t SeenSeq = 0;
-  while (true) {
-    spinUntil([this, SeenSeq] {
-      return JobSeq.load(std::memory_order_acquire) != SeenSeq ||
-             Stopping.load(std::memory_order_acquire);
-    });
-    uint64_t NewSeq = JobSeq.load(std::memory_order_acquire);
-    if (NewSeq == SeenSeq) {
-      assert(Stopping.load(std::memory_order_acquire) && "spurious wakeup");
-      return;
-    }
-    SeenSeq = NewSeq;
-    participate(W);
-    Done[W - 1].Seq.store(SeenSeq, std::memory_order_release);
-  }
-}
-
 void TaskBackend::dispatch() {
-  uint64_t Seq = JobSeq.load(std::memory_order_relaxed) + 1;
-  JobSeq.store(Seq, std::memory_order_release);
-  participate(0);
-  // Wait for every helper to check in: they may still be mid-item after
-  // the master saw Pending reach 0 is impossible (Pending is decremented
-  // after the item body), but they can still be scanning for work, and
-  // the next dispatch must not reseed the deques under them.
-  for (unsigned W = 1; W < Threads; ++W)
-    spinUntil([this, W, Seq] {
-      return Done[W - 1].Seq.load(std::memory_order_acquire) == Seq;
-    });
+  // The team's barrier is what makes the next dispatch safe: helpers may
+  // still be scanning for work after Pending reached 0, and the deques
+  // must not be reseeded under them.
+  Team.run([this](unsigned W) { participate(W); });
 }
 
 void TaskBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {
@@ -192,14 +112,17 @@ void TaskBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {
   countRegion();
   static const unsigned Region = telemetry::spanId("region.tasks");
   telemetry::ScopedSpan Span(Region);
+  unsigned Threads = Team.size();
   if (Threads == 1) {
     ParallelRegionGuard Guard;
     Body(Begin, End);
     return;
   }
 
+  // Default granularity: ~8 tasks per worker, coarse enough for cheap
+  // deque traffic and fine enough that stealing has something to balance.
   size_t N = End - Begin;
-  size_t C = taskChunk(N);
+  size_t C = Schedule::dynamic(Sched.ChunkSize).resolvedChunk(N, Threads);
   size_t NumChunks = (N + C - 1) / C;
   this->Kind = JobKind::Range;
   this->Body = Body;
@@ -208,17 +131,14 @@ void TaskBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {
   Chunk = C;
   Pending.store(NumChunks, std::memory_order_relaxed);
   // Seed contiguous chunk runs per worker (static-block locality); the
-  // helpers are quiescent here (dispatch() waited for their Done flags),
-  // so the deques are safe to fill.
-  size_t Base = NumChunks / Threads;
-  size_t Extra = NumChunks % Threads;
-  size_t Next = 0;
+  // helpers are quiescent here (the last team run waited for them), so
+  // the deques are safe to fill.
   for (unsigned W = 0; W < Threads; ++W) {
-    size_t Take = Base + (W < Extra ? 1 : 0);
+    IterationChunk Share = staticBlockShare(NumChunks, Threads, W);
     WorkerDeque &D = Deques[W];
     std::lock_guard<std::mutex> Lock(D.M);
-    for (size_t I = 0; I < Take; ++I)
-      D.Items.push_back(Next++);
+    for (size_t I = Share.Begin; I != Share.End; ++I)
+      D.Items.push_back(I);
   }
   dispatch();
 }
@@ -296,7 +216,7 @@ void TaskBackend::runDag(TaskDag &D, DagNodeBody Run) {
       WorkerDeque &Dq = Deques[W];
       std::lock_guard<std::mutex> Lock(Dq.M);
       Dq.Items.push_back(I);
-      W = (W + 1) % Threads;
+      W = (W + 1) % Team.size();
     }
   dispatch();
 }

@@ -11,9 +11,9 @@
 /// "Introducing OpenMP Tasks into the HYDRO Benchmark" showed that on
 /// exactly this class of Godunov-type hydro kernels a task runtime beats
 /// static fork-join by relaxing the per-stage barrier.  TaskBackend is
-/// that model: a persistent worker pool (created once, woken through the
-/// same epoch-sequence broadcast as SpinBarrierPool) where work is a bag
-/// of chunk-sized tasks in per-worker deques.  Owners pop their own deque
+/// that model: the same resident WorkerTeam as SpinBarrierPool (created
+/// once, woken through one epoch broadcast) where work is a bag of
+/// chunk-sized tasks in per-worker deques.  Owners pop their own deque
 /// LIFO; an idle worker locks a victim's deque and steals half of it
 /// FIFO, so load imbalance drains without a central queue.
 ///
@@ -38,12 +38,12 @@
 #define SACFD_RUNTIME_TASKBACKEND_H
 
 #include "runtime/Backend.h"
+#include "runtime/WorkerTeam.h"
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 namespace sacfd {
@@ -99,25 +99,16 @@ private:
 /// Persistent work-stealing pool (the task execution model).
 class TaskBackend final : public Backend {
 public:
-  /// Default busy-wait iterations before yielding (matches the spin
-  /// pool; adapted to 0 on oversubscribed hosts).
-  static constexpr unsigned DefaultSpinLimit = 1 << 14;
-
   /// \param Threads pool size including the calling thread (>= 1).
   /// \param Sched an explicit chunk size (static,N / dynamic,N) sets the
   ///        task granularity of parallelFor; the default carves ~8 tasks
   ///        per worker so stealing has something to balance.
   explicit TaskBackend(unsigned Threads,
-                       Schedule Sched = Schedule::staticBlock(),
-                       unsigned SpinLimit = DefaultSpinLimit);
-  ~TaskBackend() override;
-
-  TaskBackend(const TaskBackend &) = delete;
-  TaskBackend &operator=(const TaskBackend &) = delete;
+                       Schedule Sched = Schedule::staticBlock());
 
   void parallelFor(size_t Begin, size_t End, RangeBody Body) override;
   void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) override;
-  unsigned workerCount() const override { return Threads; }
+  unsigned workerCount() const override { return Team.size(); }
   const char *name() const override { return "tasks"; }
   TaskBackend *taskBackend() override { return this; }
 
@@ -128,7 +119,7 @@ public:
   /// calls (from inside a parallel body) run inline in dependency order.
   void runDag(TaskDag &Dag, DagNodeBody Run);
 
-  unsigned spinLimit() const { return SpinLimit; }
+  unsigned spinLimit() const { return Team.spinLimit(); }
 
 private:
   /// One worker's deque plus its private steal scratch, padded so the
@@ -141,30 +132,21 @@ private:
     std::vector<size_t> Scratch;
   };
 
-  struct alignas(64) DoneFlag {
-    std::atomic<uint64_t> Seq{0};
-  };
-
   enum class JobKind { Range, Dag };
 
-  void workerMain(unsigned W);
   void participate(unsigned W);
   void runItem(unsigned W, size_t Item);
   bool popOwn(unsigned W, size_t &Item);
   bool stealInto(unsigned W, size_t &Item);
+  /// Runs participate() on every worker of the team.
   void dispatch();
   void runDagInline(TaskDag &Dag, DagNodeBody Run);
-  size_t taskChunk(size_t N) const;
-  template <typename Pred> void spinUntil(Pred &&IsDone) const;
 
-  unsigned Threads;
   Schedule Sched;
-  unsigned SpinLimit;
 
-  // Broadcast job slot: the master writes the fields below, then
-  // publishes by bumping JobSeq (release).  Helpers are quiescent between
-  // dispatches (the master waits for every Done flag before returning),
-  // so the slot is never written concurrently.
+  // Job slot: the master writes the fields below before the team run
+  // that publishes them.  Helpers are quiescent between runs, so the slot
+  // is never written concurrently.
   JobKind Kind = JobKind::Range;
   RangeBody Body;
   size_t JobBegin = 0;
@@ -180,12 +162,11 @@ private:
   std::unique_ptr<std::atomic<unsigned>[]> Remaining;
   size_t RemainingCap = 0;
 
-  std::atomic<uint64_t> JobSeq{0};
-  std::atomic<bool> Stopping{false};
-
   std::unique_ptr<WorkerDeque[]> Deques;
-  std::unique_ptr<DoneFlag[]> Done; // one per helper (Threads - 1)
-  std::vector<std::thread> Workers;
+
+  /// Last member: built after, and joined before, the state its helpers
+  /// touch.
+  WorkerTeam Team;
 };
 
 } // namespace sacfd

@@ -260,7 +260,7 @@ bool ShardCoordinator::waitReady(unsigned K) {
       Pids[K] = -1;
       return false;
     }
-    if (Spins < (1u << 14))
+    if (Spins < BusySpinLimit)
       ++Spins;
     else
       std::this_thread::yield();
@@ -368,7 +368,7 @@ ShardCoordinator::CmdResult ShardCoordinator::waitAcks() {
           // (unwedging any waiting neighbors); keep waiting for acks.
         }
       }
-      if (Spins < (1u << 14))
+      if (Spins < BusySpinLimit)
         ++Spins;
       else
         std::this_thread::yield();

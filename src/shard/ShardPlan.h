@@ -25,6 +25,7 @@
 #ifndef SACFD_SHARD_SHARDPLAN_H
 #define SACFD_SHARD_SHARDPLAN_H
 
+#include "runtime/Schedule.h"
 #include "solver/Problem.h"
 
 #include <cassert>
@@ -45,11 +46,9 @@ struct RowBlock {
 inline std::vector<RowBlock> rowBlocks(size_t Rows, unsigned Shards) {
   assert(Shards > 0 && Rows >= Shards && "more shards than rows");
   std::vector<RowBlock> Blocks(Shards);
-  size_t Base = Rows / Shards, Extra = Rows % Shards, Begin = 0;
   for (unsigned K = 0; K < Shards; ++K) {
-    Blocks[K].Begin = Begin;
-    Blocks[K].Count = Base + (K < Extra ? 1 : 0);
-    Begin += Blocks[K].Count;
+    IterationChunk C = staticBlockShare(Rows, Shards, K);
+    Blocks[K] = {C.Begin, C.End - C.Begin};
   }
   return Blocks;
 }

@@ -13,6 +13,7 @@
 #include "runtime/ParallelRegion.h"
 #include "runtime/Runtime.h"
 #include "runtime/SerialBackend.h"
+#include "runtime/Spin.h"
 #include "runtime/SpinBarrierPool.h"
 #include "runtime/TaskBackend.h"
 
@@ -292,25 +293,52 @@ TEST(SpinBarrierPool, AdaptsSpinLimitToOversubscription) {
   if (Hw == 0)
     GTEST_SKIP() << "hardware concurrency unknown";
   // A pool larger than the hardware thread count must fall back to the
-  // cooperative (yield-immediately) mode under the default limit.
+  // cooperative (yield-immediately) mode.
   SpinBarrierPool Oversubscribed(Hw + 2);
   EXPECT_EQ(Oversubscribed.spinLimit(), 0u);
-  // An explicit limit is always honored.
-  SpinBarrierPool Forced(Hw + 2, 128);
-  EXPECT_EQ(Forced.spinLimit(), 128u);
+  // One that fits spins first.
+  SpinBarrierPool Fits(1);
+  EXPECT_EQ(Fits.spinLimit(), BusySpinLimit);
 }
 
 TEST(SpinBarrierPool, ZeroSpinLimitStillCompletes) {
-  // Fully cooperative mode (yield immediately) must stay correct.
-  SpinBarrierPool Pool(4, /*SpinLimit=*/0);
-  std::atomic<long> Sum(0);
-  Pool.parallelFor(0, 1000, [&Sum](size_t Begin, size_t End) {
-    long Local = 0;
-    for (size_t I = Begin; I < End; ++I)
-      Local += static_cast<long>(I);
-    Sum.fetch_add(Local);
+  // Fully cooperative mode (yield immediately) must stay correct; an
+  // oversubscribed pool derives a zero spin limit.
+  SpinBarrierPool Pool(std::thread::hardware_concurrency() + 2);
+  EXPECT_EQ(Pool.spinLimit(), 0u);
+  for (int Round = 0; Round < 20; ++Round) {
+    std::atomic<long> Sum(0);
+    Pool.parallelFor(0, 1000, [&Sum](size_t Begin, size_t End) {
+      long Local = 0;
+      for (size_t I = Begin; I < End; ++I)
+        Local += static_cast<long>(I);
+      Sum.fetch_add(Local);
+    });
+    EXPECT_EQ(Sum.load(), 999L * 1000L / 2L) << "round " << Round;
+  }
+}
+
+TEST(SpinBarrierPool, SingleThreadRunsOnTheCallingThread) {
+  // A 1-thread pool creates no worker: the body runs inline, inside a
+  // parallel region, over the whole range.
+  SpinBarrierPool Pool(1);
+  std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::thread::id> Ran;
+  size_t Lo = 0, Hi = 0;
+  bool InRegion = false;
+  Pool.parallelFor(3, 17, [&](size_t Begin, size_t End) {
+    Ran.push_back(std::this_thread::get_id());
+    Lo = Begin;
+    Hi = End;
+    InRegion = inParallelRegion();
   });
-  EXPECT_EQ(Sum.load(), 999L * 1000L / 2L);
+  ASSERT_EQ(Ran.size(), 1u);
+  EXPECT_EQ(Ran[0], Caller);
+  EXPECT_EQ(Lo, 3u);
+  EXPECT_EQ(Hi, 17u);
+  EXPECT_TRUE(InRegion);
+  EXPECT_FALSE(inParallelRegion());
+  EXPECT_EQ(Pool.regionsDispatched(), 1u);
 }
 
 TEST(ForkJoinBackend, UsesFreshThreadsPerDispatch) {
@@ -356,8 +384,87 @@ TEST(TaskBackend, AdaptsSpinLimitToOversubscription) {
     GTEST_SKIP() << "hardware concurrency unknown";
   TaskBackend Oversubscribed(Hw + 2);
   EXPECT_EQ(Oversubscribed.spinLimit(), 0u);
-  TaskBackend Forced(Hw + 2, Schedule::staticBlock(), /*SpinLimit=*/128);
-  EXPECT_EQ(Forced.spinLimit(), 128u);
+  TaskBackend Fits(1);
+  EXPECT_EQ(Fits.spinLimit(), BusySpinLimit);
+}
+
+TEST(TaskBackend, ZeroSpinLimitStillCompletes) {
+  // Oversubscribed, so the team and the idle loop yield immediately;
+  // both job kinds must still run every item exactly once.
+  TaskBackend B(std::thread::hardware_concurrency() + 2);
+  EXPECT_EQ(B.spinLimit(), 0u);
+  std::vector<std::atomic<int>> Hits(1000);
+  for (auto &H : Hits)
+    H.store(0);
+  B.parallelFor(0, Hits.size(), [&](size_t Begin, size_t End) {
+    for (size_t I = Begin; I < End; ++I)
+      Hits[I].fetch_add(1);
+  });
+  for (size_t I = 0; I < Hits.size(); ++I)
+    EXPECT_EQ(Hits[I].load(), 1) << "iteration " << I;
+
+  TaskDag Chain;
+  for (size_t I = 0; I < 64; ++I) {
+    Chain.add(I);
+    if (I > 0)
+      Chain.addDep(I - 1, I);
+  }
+  std::atomic<uint64_t> Next{0};
+  std::atomic<bool> InOrder{true};
+  B.runDag(Chain, [&](uint64_t P) {
+    if (Next.fetch_add(1) != P)
+      InOrder.store(false);
+  });
+  EXPECT_EQ(Next.load(), 64u);
+  EXPECT_TRUE(InOrder.load()) << "chain edges must serialize the nodes";
+}
+
+TEST(TaskBackend, AlternatesRangeAndDagJobsOnOneTeam) {
+  // Every switch between a parallelFor and a runDag hands the team's job
+  // slot from one job kind to the other; neither may see the other's
+  // leftovers.
+  TaskBackend B(4);
+  constexpr size_t Items = 257;
+  std::vector<std::atomic<int>> Hits(Items);
+  constexpr size_t Layers = 4, PerLayer = 5, N = Layers * PerLayer;
+  TaskDag Dag;
+  for (size_t Node = 0; Node < N; ++Node) {
+    Dag.add(Node);
+    size_t L = Node / PerLayer, I = Node % PerLayer;
+    if (L > 0) {
+      Dag.addDep((L - 1) * PerLayer + I, Node);
+      Dag.addDep((L - 1) * PerLayer + (I + 1) % PerLayer, Node);
+    }
+  }
+  std::vector<std::atomic<uint64_t>> Stamp(N);
+  for (int Round = 0; Round < 1000; ++Round) {
+    for (auto &H : Hits)
+      H.store(0, std::memory_order_relaxed);
+    B.parallelFor(0, Items, [&](size_t Begin, size_t End) {
+      for (size_t I = Begin; I < End; ++I)
+        Hits[I].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (size_t I = 0; I < Items; ++I)
+      ASSERT_EQ(Hits[I].load(), 1) << "round " << Round << " item " << I;
+
+    for (auto &S : Stamp)
+      S.store(0, std::memory_order_relaxed);
+    std::atomic<uint64_t> Clock{0};
+    B.runDag(Dag, [&](uint64_t P) {
+      ASSERT_EQ(Stamp[P].load(), 0u) << "node " << P << " ran twice";
+      Stamp[P].store(Clock.fetch_add(1) + 1);
+    });
+    ASSERT_EQ(Clock.load(), N) << "round " << Round;
+    for (size_t Node = PerLayer; Node < N; ++Node) {
+      size_t L = Node / PerLayer, I = Node % PerLayer;
+      ASSERT_LT(Stamp[(L - 1) * PerLayer + I].load(), Stamp[Node].load())
+          << "round " << Round;
+      ASSERT_LT(Stamp[(L - 1) * PerLayer + (I + 1) % PerLayer].load(),
+                Stamp[Node].load())
+          << "round " << Round;
+    }
+  }
+  EXPECT_EQ(B.regionsDispatched(), 2000u);
 }
 
 TEST(TaskBackend, RunDagRunsEveryNodeOnceAfterItsDeps) {
