@@ -8,7 +8,8 @@
 //     the threads");
 //   - with-loop elementwise throughput (fused vs materialized);
 //   - the getDt reduction;
-//   - per-face reconstruction + Riemann solve for each scheme.
+//   - per-face reconstruction + Riemann solve for each scheme, and the
+//     same pipeline on the reconstructFaces + fluxFaces line kernels.
 //
 //===----------------------------------------------------------------------===//
 
@@ -206,6 +207,32 @@ BENCHMARK(BM_KernelFluxFaces)
     ->Args({1 << 14, 0})
     ->Args({1 << 14, 1})
     ->Name("BM_Kernel/fluxFaces");
+
+// The figure scheme's face pipeline on the line kernels: characteristic
+// WENO3 reconstruction of a face row, then the HLLC flux of its states
+// (per face; compare BM_FaceReconstruct/weno3 + BM_RiemannFlux/hllc).
+static void BM_KernelReconstructFluxFaces(benchmark::State &State) {
+  const size_t N = static_cast<size_t>(State.range(0));
+  const bool Simd = State.range(1) != 0;
+  Gas G;
+  SoaField2 U(N + 5), L(N), R(N), F(N);
+  kernels::ConstRun<2> Faces = kernels::advance(U.crun(), 3);
+  for (auto _ : State) {
+    kernels::reconstructFaces<2>(Faces, 1, L.run(), R.run(), G, 0,
+                                 ReconstructionKind::Weno3,
+                                 LimiterKind::MinMod,
+                                 ReconstructVariables::Characteristic, N,
+                                 Simd);
+    kernels::fluxFaces<2>(L.crun(), R.crun(), F.run(), G, 0,
+                          RiemannKind::Hllc, N, Simd);
+    benchmark::DoNotOptimize(F.Buf.data());
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(N));
+}
+BENCHMARK(BM_KernelReconstructFluxFaces)
+    ->Args({1 << 14, 0})
+    ->Args({1 << 14, 1})
+    ->Name("BM_Kernel/reconstructFluxFaces");
 
 static void BM_KernelMaxEigen(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));

@@ -8,6 +8,9 @@
 #            matrix and the closed-box conservation regression
 #   TSan     BackendTest, DeterminismTest and StepGuardTest under
 #            ThreadSanitizer; any race report fails the run
+#   ASan     KernelsTest, ScenarioRegressionTest, DeterminismTest and
+#            AllocationTest under Address+UndefinedBehaviorSanitizer
+#            (Debug); any report fails the run
 #
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
@@ -143,5 +146,16 @@ cmake --build build-ci-tsan -j "$JOBS" \
     --target BackendTest DeterminismTest StepGuardTest
 for T in BackendTest DeterminismTest StepGuardTest; do
   TSAN_OPTIONS=halt_on_error=1 "./build-ci-tsan/tests/$T"
+done
+echo "== address + undefined-behaviour sanitizers =="
+# Out-of-bounds and UB check of the kernel window reads and the solver
+# paths on them (Debug, leaks off; any report is a nonzero exit).
+cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+    "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined
+cmake --build build-ci-asan -j "$JOBS" \
+    --target KernelsTest ScenarioRegressionTest DeterminismTest AllocationTest
+for T in KernelsTest ScenarioRegressionTest DeterminismTest AllocationTest; do
+  ASAN_OPTIONS=detect_leaks=0 "./build-ci-asan/tests/$T"
 done
 echo "== CI matrix passed =="

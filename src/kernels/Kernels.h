@@ -107,14 +107,6 @@ inline void storeCons(const Run<Dim> &R, size_t I, const Cons<Dim> &Q) {
   R.C[Dim + 1][I] = Q.E;
 }
 
-/// True when the per-line flux kernel applies: piecewise-constant
-/// reconstruction makes a face's L/R states the two adjacent cells, so
-/// the whole face line is two shifted runs.  Higher-order
-/// reconstructions keep the engines' stencil-gather paths.
-constexpr bool fluxKernelEligible(ReconstructionKind Recon) {
-  return Recon == ReconstructionKind::PiecewiseConstant;
-}
-
 /// True when this build compiled simdimpl:: with host-ISA acceleration
 /// (the -march/-fopenmp-simd TU); false means simdimpl is a plain
 /// recompile and `--no-simd` is only a dispatch formality.
@@ -141,7 +133,13 @@ bool simdAccelerated();
   template <unsigned Dim>                                                      \
   void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,               \
                  const Run<Dim> &F, const Gas &G, unsigned Axis,               \
-                 RiemannKind Kind, size_t N);
+                 RiemannKind Kind, size_t N);                                  \
+  template <unsigned Dim>                                                      \
+  void reconstructFaces(const ConstRun<Dim> &U, ptrdiff_t AxisStride,          \
+                        const Run<Dim> &L, const Run<Dim> &R, const Gas &G,    \
+                        unsigned Axis, ReconstructionKind Kind,                \
+                        LimiterKind Limiter, ReconstructVariables Vars,        \
+                        size_t N);
 
 namespace scalarimpl {
 SACFD_KERNELS_DECLARE
@@ -197,6 +195,25 @@ inline void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,
   bool Vector = Simd && Kind != RiemannKind::Roe;
   (Vector ? simdimpl::fluxFaces<Dim> : scalarimpl::fluxFaces<Dim>)(
       L, R, F, G, Axis, Kind, N);
+}
+
+/// Reconstructs the left/right face states of a row of \p N faces normal
+/// to \p Axis (reconstructFaceStates, lane by lane).  Lanes are
+/// consecutive cells along the contiguous last axis: lane I's face has
+/// its right-hand cell at U[I], and window cell K of its stencil (cell 3
+/// is U[I]) sits at U[I + (K - 3) * AxisStride] — so one kernel serves
+/// every axis in every Dim.  Only the window cells the scheme reads are
+/// loaded: 3 - ghostCells(Kind) .. 2 + ghostCells(Kind).  The states land
+/// in the SoA rows \p L and \p R, ready for fluxFaces.
+template <unsigned Dim>
+inline void reconstructFaces(const ConstRun<Dim> &U, ptrdiff_t AxisStride,
+                             const Run<Dim> &L, const Run<Dim> &R,
+                             const Gas &G, unsigned Axis,
+                             ReconstructionKind Kind, LimiterKind Limiter,
+                             ReconstructVariables Vars, size_t N, bool Simd) {
+  (Simd ? simdimpl::reconstructFaces<Dim>
+        : scalarimpl::reconstructFaces<Dim>)(U, AxisStride, L, R, G, Axis,
+                                              Kind, Limiter, Vars, N);
 }
 
 } // namespace kernels

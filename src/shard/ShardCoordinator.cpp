@@ -274,7 +274,7 @@ bool ShardCoordinator::start() {
   const Grid<2> &G = Global.Domain;
   const size_t Rows = G.cells(0), Cols = G.cells(1);
   const unsigned Ng = G.ghost();
-  if (Opt.Shards > Rows)
+  if (Opt.Shards > Rows || Ng < ghostCells(Opt.Scheme.Recon))
     return false;
   Blocks = rowBlocks(Rows, Opt.Shards);
   if (Opt.Shards > 1)

@@ -21,11 +21,13 @@
 ///   Fused        with-loops compose whole pipelines per pass (sac2c
 ///                after with-loop folding — the paper's "collating many
 ///                small operations into fewer larger operations").  The
-///                per-stage arithmetic runs through the shared kernels::
-///                layer, so contiguous runs take the vectorized build —
-///                this mode models the optimized compiler output.
-///   Materialized every intermediate array is allocated and filled (the
-///                naive lowering; ablation A1 measures the gap)
+///                per-stage arithmetic, face reconstruction included,
+///                runs through the shared kernels:: layer, so contiguous
+///                runs take the vectorized build — this mode models the
+///                optimized compiler output.
+///   Materialized every intermediate array is allocated and filled and
+///                every face gathers its own stencil (the naive lowering;
+///                ablation A1 measures the gap)
 ///
 /// Both modes produce bit-identical fields: the kernels mirror the
 /// reference expressions term for term (see kernels/KernelsTU.inc).
@@ -179,14 +181,11 @@ private:
   }
 
   /// Numerical flux field over the face index space of \p Axis (interior
-  /// shape extended by one along the axis).  Piecewise-constant
-  /// reconstruction takes the kernel path — whole face rows through
-  /// kernels::fluxFaces, vectorized on unit-stride runs; every other
-  /// scheme gathers the 6-cell stencil per face, exactly the genarray
-  /// with-loop of the paper.
+  /// shape extended by one along the axis): the genarray with-loop of the
+  /// paper, evaluated one face row along the last axis at a time through
+  /// faceFluxRow (reconstructFaces + fluxFaces kernels on unit-stride
+  /// runs; piecewise-constant reconstruction skips straight to the flux).
   Field<Dim> fluxAlongFused(unsigned Axis) {
-    const Gas &Gas_ = this->Prob.G;
-    const SchemeConfig &SC = this->Scheme;
     const Grid<Dim> &G = this->Prob.Domain;
     constexpr unsigned LineAxis = Dim - 1;
 
@@ -194,64 +193,34 @@ private:
     Faces.dim(Axis) += 1;
     Field<Dim> Out(this->Pool, Faces, FieldInit::Uninit);
 
-    if (kernels::fluxKernelEligible(SC.Recon)) {
-      size_t RowLen = Faces.dim(LineAxis);
-      size_t Rows = Faces.count() / RowLen;
-      // Leading face coordinates (all axes but the last); for face row R
-      // the L cells sit one axis stride below the R cells in storage.
-      Shape Lead = Shape::uniform(Dim == 1 ? 1 : Dim - 1, 1);
-      for (unsigned A = 0; A + 1 < Dim; ++A)
-        Lead.dim(A) = Faces.dim(A);
-      size_t AxisStride = this->StorageStride[Axis];
-      this->Exec.parallelFor(0, Rows, [&](size_t RB, size_t RE) {
-        for (size_t R = RB; R != RE; ++R) {
-          Index L = Lead.delinearize(R);
-          // Storage offset of the row's first R-side cell: interior
-          // coordinates shifted by the ghost margin; along the sweep
-          // axis face f's R cell is interior cell f.
-          size_t SBase = this->Ng; // last-axis start
-          for (unsigned A = 0; A + 1 < Dim; ++A)
-            SBase += (static_cast<size_t>(L.Coord[A]) + this->Ng) *
-                     this->StorageStride[A];
-          kernels::fluxFaces<Dim>(this->U.crun(SBase - AxisStride),
-                                  this->U.crun(SBase), Out.run(R * RowLen),
-                                  Gas_, Axis, SC.Riemann, RowLen,
-                                  this->SimdEnabled);
-        }
-      });
-      return Out;
-    }
-
-    std::ptrdiff_t Ng = G.ghost();
-    std::ptrdiff_t StorageMax =
-        static_cast<std::ptrdiff_t>(this->U.shape().dim(Axis)) - 1;
-    std::ptrdiff_t AxisStride =
-        static_cast<std::ptrdiff_t>(this->StorageStride[Axis]);
-    const kernels::ConstRun<Dim> URun = this->U.crun();
-    // genarray with-loop over faces: gather the 6-cell stencil along the
-    // axis, reconstruct, solve the face Riemann problem.
-    forEachIndex(Faces, this->Exec, [&, Ng, StorageMax, AxisStride,
-                                     Axis](const Index &Fv, size_t Linear) {
-      // Storage offset of the face's R cell (interior cell f along the
-      // axis), located once; the window walks the axis stride from it.
-      std::ptrdiff_t Base = 0;
-      for (unsigned A = 0; A < Dim; ++A)
-        Base += (Fv.Coord[A] + Ng) *
-                static_cast<std::ptrdiff_t>(this->StorageStride[A]);
-      const std::ptrdiff_t AxisPos = Fv.Coord[Axis] + Ng;
-      std::array<Cons<Dim>, 6> Stencil;
-      for (unsigned K = 0; K < 6; ++K) {
-        // Window cell K sits at interior offset f - 3 + K along the axis;
-        // clamp the unused outermost cells into storage.
-        std::ptrdiff_t Pos = std::clamp<std::ptrdiff_t>(
-            AxisPos + static_cast<std::ptrdiff_t>(K) - 3, 0, StorageMax);
-        Stencil[K] = kernels::loadCons<Dim>(
-            URun, static_cast<size_t>(Base + (Pos - AxisPos) * AxisStride));
+    size_t RowLen = Faces.dim(LineAxis);
+    size_t Rows = Faces.count() / RowLen;
+    // Leading face coordinates (all axes but the last); along the sweep
+    // axis face f's right-hand cell is interior cell f.
+    Shape Lead = Shape::uniform(Dim == 1 ? 1 : Dim - 1, 1);
+    for (unsigned A = 0; A + 1 < Dim; ++A)
+      Lead.dim(A) = Faces.dim(A);
+    // Work items are face rows; with fewer rows than workers (1D) each
+    // row is cut into one lane range per worker.  Faces are independent,
+    // so every cut yields the same bits.
+    size_t Workers = this->Exec.workerCount();
+    size_t Parts = Rows < Workers ? Workers : 1;
+    this->Exec.parallelFor(0, Rows * Parts, [&](size_t IB, size_t IE) {
+      kernels::Run<Dim> Ls = fluxScratchRow<Dim>(0, 2, RowLen);
+      kernels::Run<Dim> Rs = fluxScratchRow<Dim>(1, 2, RowLen);
+      for (size_t Item = IB; Item != IE; ++Item) {
+        size_t R = Item / Parts, Part = Item % Parts;
+        size_t FB = RowLen * Part / Parts, FE = RowLen * (Part + 1) / Parts;
+        Index L = Lead.delinearize(R);
+        // Storage offset of the row's first right-hand cell: interior
+        // coordinates shifted by the ghost margin.
+        size_t SBase = this->Ng; // last-axis start
+        for (unsigned A = 0; A + 1 < Dim; ++A)
+          SBase += (static_cast<size_t>(L.Coord[A]) + this->Ng) *
+                   this->StorageStride[A];
+        this->faceFluxRow(Axis, SBase + FB, Out.run(R * RowLen + FB), Ls, Rs,
+                          FE - FB);
       }
-      FaceStates<Dim> FS = reconstructFaceStates(SC.Recon, SC.Limiter,
-                                                 SC.Vars, Stencil, Gas_,
-                                                 Axis);
-      Out.store(Linear, numericalFlux(SC.Riemann, FS.L, FS.R, Gas_, Axis));
     });
     return Out;
   }

@@ -27,6 +27,7 @@
 #include "solver/Field.h"
 #include "solver/Problem.h"
 #include "solver/SchemeConfig.h"
+#include "support/Error.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -58,8 +59,11 @@ public:
               bool Simd = true)
       : Prob(std::move(Prob)), Scheme(Scheme), Exec(Exec),
         U(Pool, this->Prob.Domain.storageShape()), SimdEnabled(Simd) {
-    assert(this->Prob.Domain.ghost() >= ghostCells(Scheme.Recon) &&
-           "grid ghost layers insufficient for the reconstruction");
+    // The face kernels load the scheme's whole stencil reach from the
+    // ghost layers; fewer layers would read outside the field.
+    if (this->Prob.Domain.ghost() < ghostCells(Scheme.Recon))
+      sacfdUnreachable("grid ghost layers insufficient for the "
+                       "reconstruction");
     const Grid<Dim> &G = this->Prob.Domain;
     Shape Storage = G.storageShape();
     for (unsigned A = 0; A < Dim; ++A) {
@@ -240,6 +244,32 @@ protected:
       Base += Coord * InteriorStride[A];
     }
     return Base;
+  }
+
+  /// Fluxes of \p Count consecutive faces normal to \p Axis into \p F.
+  /// Lane i's face has its right-hand cell at storage offset RCell + i
+  /// (lanes run along the contiguous last axis) and its left-hand cell
+  /// one \p Axis stride below.  Piecewise-constant reconstruction hands
+  /// the two adjacent cell runs straight to the Riemann kernel; every
+  /// other scheme first reconstructs the face states into the scratch
+  /// rows \p Ls / \p Rs.  Per face the result is bit-identical to
+  /// numericalFlux(reconstructFaceStates(...)) on the face's stencil.
+  void faceFluxRow(unsigned Axis, size_t RCell, const kernels::Run<Dim> &F,
+                   const kernels::Run<Dim> &Ls, const kernels::Run<Dim> &Rs,
+                   size_t Count) const {
+    const std::ptrdiff_t AxisStride =
+        static_cast<std::ptrdiff_t>(StorageStride[Axis]);
+    kernels::ConstRun<Dim> R = U.crun(RCell);
+    if (Scheme.Recon == ReconstructionKind::PiecewiseConstant) {
+      kernels::fluxFaces<Dim>(kernels::advance(R, -AxisStride), R, F, Prob.G,
+                              Axis, Scheme.Riemann, Count, SimdEnabled);
+      return;
+    }
+    kernels::reconstructFaces<Dim>(R, AxisStride, Ls, Rs, Prob.G, Axis,
+                                   Scheme.Recon, Scheme.Limiter, Scheme.Vars,
+                                   Count, SimdEnabled);
+    kernels::fluxFaces<Dim>(Ls, Rs, F, Prob.G, Axis, Scheme.Riemann, Count,
+                            SimdEnabled);
   }
 
   /// Called whenever restoreClock rewinds or overwrites the clock (step-

@@ -22,11 +22,11 @@
 ///     collapse of Fig. 4.
 ///
 /// The loop bodies themselves are the shared kernels:: layer: snapshot,
-/// RHS zeroing, the SSP update and the GetDT reduction always run as
-/// contiguous line runs, and under piecewise-constant reconstruction the
-/// face fluxes do too — so the hot loops execute the vectorized kernel
-/// build over the field's SoA planes.  Higher-order schemes keep the
-/// per-face stencil gather for reconstruction.
+/// RHS zeroing, the SSP update, the GetDT reduction and the face sweeps
+/// (reconstruction, Riemann flux, divergence) run as contiguous line
+/// runs — so the hot loops execute the vectorized kernel build over the
+/// field's SoA planes.  Only the 3D sweeps along axes 0 and 1, whose
+/// sweep lines are strided, keep the per-face stencil gather.
 ///
 /// On a TaskBackend the engine additionally offers a dependency-DAG step
 /// mode (enableDagStepping): one step becomes per-tile snapshot, flux and
@@ -191,38 +191,32 @@ private:
       Res = Field<Dim>(this->Pool, G.interiorShape(), FieldInit::Uninit);
   }
 
-  /// True when the \p Axis sweep runs whole face rows through
-  /// kernels::fluxFaces instead of gathering stencils per face: the
-  /// reconstruction must be piecewise-constant (face states are the
-  /// adjacent cells), and the face rows must be contiguous in storage —
-  /// the last axis always is; a 2D axis-0 sweep is restructured into
-  /// row runs below.
-  bool fluxKernelSweep(unsigned Axis) const {
-    return kernels::fluxKernelEligible(this->Scheme.Recon) &&
-           (Axis == Dim - 1 || (Dim == 2 && Axis == 0));
-  }
-
   /// One directional sweep over lines [LineBegin, LineEnd) x cells
   /// [CellBegin, CellEnd): per line, compute all bounding face fluxes
   /// into a scratch buffer, then accumulate the flux differences into
   /// the RHS.  This is the fused Fortran structure: flux and difference
   /// in one pass over the line, no global flux array.  Each cell's
-  /// update reads faces I and I+1 computed from the same clamped
-  /// stencils regardless of the sub-range, so tiled, flattened and
+  /// update reads faces I and I+1 computed from the same stencils
+  /// regardless of the sub-range, so tiled, flattened and
   /// task-decomposed sweeps are bit-identical (sub-range boundary faces
   /// are recomputed, not communicated).
+  ///
+  /// Sweeps whose face rows are contiguous in storage run on the kernels
+  /// (the last axis always; a 2D axis-0 sweep restructured into row
+  /// runs); the strided 3D sweeps along axes 0 and 1 gather per face.
   void sweepRange(unsigned Axis, size_t LineBegin, size_t LineEnd,
                   size_t CellBegin, size_t CellEnd) {
-    if (fluxKernelSweep(Axis)) {
-      if (Axis == Dim - 1) {
-        sweepRangeKernelLastAxis(LineBegin, LineEnd, CellBegin, CellEnd);
-      } else {
-        if constexpr (Dim == 2)
-          sweepRangeKernelAxis0(LineBegin, LineEnd, CellBegin, CellEnd);
-      }
-      return;
-    }
+    if (Axis == Dim - 1)
+      sweepRangeKernelLastAxis(LineBegin, LineEnd, CellBegin, CellEnd);
+    else if constexpr (Dim == 2)
+      sweepRangeKernelAxis0(LineBegin, LineEnd, CellBegin, CellEnd);
+    else if constexpr (Dim == 3)
+      sweepRangeGather(Axis, LineBegin, LineEnd, CellBegin, CellEnd);
+  }
 
+  /// Per-face stencil-gather form of sweepRange (3D axes 0 and 1).
+  void sweepRangeGather(unsigned Axis, size_t LineBegin, size_t LineEnd,
+                        size_t CellBegin, size_t CellEnd) {
     const Gas &Gas_ = this->Prob.G;
     const SchemeConfig &SC = this->Scheme;
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
@@ -253,8 +247,9 @@ private:
         std::array<Cons<Dim>, 6> Stencil;
         for (unsigned K = 0; K < 6; ++K) {
           // Window cell K at axis offset f - 3 + K from interior 0,
-          // clamped into storage (outermost cells are never read by
-          // the implemented schemes).
+          // clamped into storage.  The clamp only moves cells beyond
+          // the scheme's reach (ghostCells), which reconstructFaceStates
+          // projects but no stencil reads.
           std::ptrdiff_t Off = static_cast<std::ptrdiff_t>(CellBegin + F) +
                                static_cast<std::ptrdiff_t>(K) - 3;
           Off = std::clamp<std::ptrdiff_t>(Off, -NgS, AxisMax - NgS);
@@ -281,25 +276,24 @@ private:
     }
   }
 
-  /// Kernel form of the last-axis sweep: per line, one fluxFaces run
-  /// over the bounding faces (unit-stride SoA scratch, so the SIMD
-  /// mirror applies), then one accumDivergence run into the RHS.  Face
-  /// values and the per-cell accumulation are bit-identical to the
-  /// gather form — the kernels mirror numericalFlux term for term.
+  /// Kernel form of the last-axis sweep: per line, one faceFluxRow over
+  /// the bounding faces (unit-stride SoA scratch, so the SIMD kernels
+  /// apply), then one accumDivergence run into the RHS.  Face values and
+  /// the per-cell accumulation are bit-identical to the gather form — the
+  /// kernels mirror reconstructFaceStates and numericalFlux term for term.
   void sweepRangeKernelLastAxis(size_t LineBegin, size_t LineEnd,
                                 size_t CellBegin, size_t CellEnd) {
     constexpr unsigned Axis = Dim - 1;
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
     size_t LocalFaces = (CellEnd - CellBegin) + 1;
-    kernels::Run<Dim> FluxRow = fluxScratchRow<Dim>(0, 1, LocalFaces);
+    kernels::Run<Dim> FluxRow = fluxScratchRow<Dim>(0, 3, LocalFaces);
+    kernels::Run<Dim> Ls = fluxScratchRow<Dim>(1, 3, LocalFaces);
+    kernels::Run<Dim> Rs = fluxScratchRow<Dim>(2, 3, LocalFaces);
     for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
+      // Face f (local) has its right-hand cell at storage Base + f; cell
+      // Base - 1 is the ghost neighbor when CellBegin == 0.
       size_t Base = this->lineStorageBase(Axis, Line) + CellBegin;
-      // Face f (local) sits between storage cells Base+f-1 and Base+f;
-      // cell Base-1 is the ghost neighbor when CellBegin == 0.
-      kernels::fluxFaces<Dim>(this->U.crun(Base - 1), this->U.crun(Base),
-                              FluxRow, this->Prob.G, Axis,
-                              this->Scheme.Riemann, LocalFaces,
-                              this->SimdEnabled);
+      this->faceFluxRow(Axis, Base, FluxRow, Ls, Rs, LocalFaces);
       size_t RBase = this->lineInteriorBase(Axis, Line) + CellBegin;
       kernels::ConstRun<Dim> Lo = FluxRow;
       kernels::accumDivergence<Dim>(Res.run(RBase), Lo,
@@ -326,19 +320,15 @@ private:
       return (this->Ng + F) * S0 + this->Ng + LineBegin;
     };
 
-    kernels::Run<Dim> Rows[2] = {fluxScratchRow<Dim>(0, 2, W),
-                                 fluxScratchRow<Dim>(1, 2, W)};
-    kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(CellBegin) - S0),
-                            this->U.crun(FaceRowBase(CellBegin)), Rows[0],
-                            this->Prob.G, /*Axis=*/0, this->Scheme.Riemann,
-                            W, this->SimdEnabled);
+    kernels::Run<Dim> Rows[2] = {fluxScratchRow<Dim>(0, 4, W),
+                                 fluxScratchRow<Dim>(1, 4, W)};
+    kernels::Run<Dim> Ls = fluxScratchRow<Dim>(2, 4, W);
+    kernels::Run<Dim> Rs = fluxScratchRow<Dim>(3, 4, W);
+    this->faceFluxRow(0, FaceRowBase(CellBegin), Rows[0], Ls, Rs, W);
     for (size_t I = CellBegin; I != CellEnd; ++I) {
       kernels::Run<Dim> &Lo = Rows[(I - CellBegin) % 2];
       kernels::Run<Dim> &Hi = Rows[(I - CellBegin + 1) % 2];
-      kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(I + 1) - S0),
-                              this->U.crun(FaceRowBase(I + 1)), Hi,
-                              this->Prob.G, /*Axis=*/0, this->Scheme.Riemann,
-                              W, this->SimdEnabled);
+      this->faceFluxRow(0, FaceRowBase(I + 1), Hi, Ls, Rs, W);
       size_t RBase = I * this->N[1] + LineBegin;
       kernels::accumDivergence<Dim>(Res.run(RBase), Lo, Hi, InvDx, W,
                                     this->SimdEnabled);

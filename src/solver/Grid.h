@@ -84,6 +84,12 @@ public:
   }
 
   unsigned ghost() const { return GhostLayers; }
+  /// The same grid padded by \p Layers ghost layers per side.
+  Grid withGhost(unsigned Layers) const {
+    Grid G = *this;
+    G.GhostLayers = Layers;
+    return G;
+  }
   size_t cells(unsigned Axis) const {
     assert(Axis < Dim && "axis out of range");
     return CellCounts[Axis];

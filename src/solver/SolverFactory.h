@@ -37,6 +37,7 @@
 #include "solver/StepGuard.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -50,6 +51,10 @@ namespace sacfd {
 template <unsigned Dim> class SolverRun {
 public:
   SolverRun(Problem<Dim> Prob, const RunConfig &Config) : Cfg(Config) {
+    // Tools build their default problems with two ghost layers; a
+    // wider configured stencil (WENO5) gets the layers it reads.
+    Prob.Domain = Prob.Domain.withGhost(
+        std::max(Prob.Domain.ghost(), ghostCells(Cfg.Scheme.Recon)));
     Exec = Cfg.makeBackend();
     if (!Exec)
       reportFatalError("backend not available in this build");

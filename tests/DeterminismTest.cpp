@@ -459,8 +459,7 @@ TEST_F(DeterminismTest, LayoutSimdInteraction2DFusedSolver) {
 }
 
 TEST_F(DeterminismTest, LayoutSimdFigureSchemeInteraction2DArraySolver) {
-  // WENO3 keeps the flux on the stencil-gather path; the SSP update,
-  // GetDT and the field accessors still route through the kernels.
+  // The figure scheme's faces run reconstructFaces + fluxFaces rows.
   checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
                                         SchemeConfig::figureScheme(), 4);
 }
@@ -487,6 +486,62 @@ TEST_F(DeterminismTest, LayoutSimdDagSod1DFusedSolver) {
 TEST_F(DeterminismTest, LayoutSimdDagInteraction2DFusedSolver) {
   checkDagSimdMatrix<2>(shockInteraction2D(19, 2.2, 9.5),
                               SchemeConfig::benchmarkScheme(), 4);
+}
+
+TEST_F(DeterminismTest, SimdFigureSchemeInteraction2DFusedSolver) {
+  checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(20, 2.2, 10.0),
+                                  SchemeConfig::figureScheme(), 4);
+}
+
+TEST_F(DeterminismTest, SimdTiledFigureSchemeInteraction2DFusedSolver) {
+  // Odd tiles put reconstruction-row seams mid-row in both sweeps: the
+  // seam faces are reconstructed again from the same stencils.
+  checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                  SchemeConfig::figureScheme(), 4,
+                                  Tile::sized(5, 7));
+}
+
+TEST_F(DeterminismTest, SimdDagFigureSchemeInteraction2DFusedSolver) {
+  checkDagSimdMatrix<2>(shockInteraction2D(19, 2.2, 9.5),
+                        SchemeConfig::figureScheme(), 4, Tile::sized(5, 7));
+}
+
+namespace {
+
+/// The rest of the reconstruction menu, each through its own SIMD
+/// mirror: TVD2 and TVD3 with two different limiters, WENO5 (window
+/// cells 0 and 5, three ghost layers) and primitive-variable WENO3.
+std::vector<SchemeConfig> schemeMenu() {
+  std::vector<SchemeConfig> Menu(4, SchemeConfig::figureScheme());
+  Menu[0].Recon = ReconstructionKind::Tvd2;
+  Menu[0].Limiter = LimiterKind::Superbee;
+  Menu[1].Recon = ReconstructionKind::Tvd3;
+  Menu[1].Limiter = LimiterKind::Mc;
+  Menu[2].Recon = ReconstructionKind::Weno5;
+  Menu[3].Vars = ReconstructVariables::Primitive;
+  return Menu;
+}
+
+std::string reconstructVariablesSuffix(const SchemeConfig &Scheme) {
+  return Scheme.Vars == ReconstructVariables::Primitive ? " (primitive)" : "";
+}
+
+} // namespace
+
+TEST_F(DeterminismTest, SimdSchemeMenuInteraction2DArraySolver) {
+  for (const SchemeConfig &Scheme : schemeMenu()) {
+    SCOPED_TRACE(Scheme.str() + reconstructVariablesSuffix(Scheme));
+    checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5, 3),
+                                    Scheme, 4);
+  }
+}
+
+TEST_F(DeterminismTest, SimdSchemeMenuInteraction2DFusedSolver) {
+  for (const SchemeConfig &Scheme : schemeMenu()) {
+    SCOPED_TRACE(Scheme.str() + reconstructVariablesSuffix(Scheme));
+    checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5, 3),
+                                    Scheme, 4);
+  }
 }
 
 TEST_F(DeterminismTest, TiledDynamicDealingInteraction2DArraySolver) {

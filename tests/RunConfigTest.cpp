@@ -8,9 +8,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "solver/RunConfig.h"
-#include "solver/SolverFactory.h"
+#include "runtime/SerialBackend.h"
 #include "solver/Problems.h"
+#include "solver/RunConfig.h"
+#include "solver/Scenario.h"
+#include "solver/SolverFactory.h"
 
 #include <gtest/gtest.h>
 
@@ -331,6 +333,33 @@ TEST(SolverFactory, BuildsEachEngine) {
     EXPECT_TRUE(Run.advanceSteps(3));
     EXPECT_EQ(Run.solver().stepCount(), 3u);
   }
+}
+
+TEST(SolverFactory, WidensGhostLayersToTheSchemeReach) {
+  // Tools build their default problems with two ghost layers; WENO5
+  // reads three.  The run gets the wider grid and matches a solver
+  // built on a three-layer problem bit for bit.
+  RunConfig Cfg;
+  std::string Error;
+  ASSERT_TRUE(parseAndResolve(
+      Cfg, {"--recon", "weno5", "--engine", "fused", "--backend", "serial"},
+      &Error))
+      << Error;
+  SolverRun<1> Run = makeSolverRun(sodProblem(40), Cfg);
+  EXPECT_EQ(Run.solver().problem().Domain.ghost(), 3u);
+  EXPECT_TRUE(Run.advanceSteps(5));
+  SerialBackend Exec;
+  FusedSolver<1> Direct(sodProblem(40, 3), Cfg.Scheme, Exec);
+  Direct.advanceSteps(5);
+  EXPECT_EQ(fieldStateHash(Run.solver()), fieldStateHash(Direct));
+}
+
+TEST(SolverFactoryDeathTest, SolverRefusesTooFewGhostLayers) {
+  SchemeConfig Weno5 = SchemeConfig::figureScheme();
+  Weno5.Recon = ReconstructionKind::Weno5;
+  SerialBackend Exec;
+  EXPECT_DEATH(ArraySolver<1>(sodProblem(40, 2), Weno5, Exec),
+               "ghost layers insufficient");
 }
 
 TEST(SolverFactory, BuildsDagSteppingFusedRun) {

@@ -206,6 +206,17 @@ TEST(ShardPlan, HaloSidesReplaceInternalInterfaces) {
 // Reflecting segments on the low row side, Outflow on the high — three
 // BC kinds landing on shard edges.  Shards 3 exercises the ragged path
 // (40 % 3 != 0); storage checks compare the ghost rows themselves.
+TEST(ShardPlan, RefusesGridNarrowerThanTheStencil) {
+  // Every shard's halo slabs are sized by the global grid's ghost layers,
+  // so a scheme reading more layers than the grid has is refused before
+  // any worker is forked.
+  SchemeConfig Scheme = SchemeConfig::figureScheme();
+  Scheme.Recon = ReconstructionKind::Weno5;
+  ShardCoordinator Coord(shockInteraction2D(24, 2.2, 12.0),
+                         shardOptions(Scheme, 2));
+  EXPECT_FALSE(Coord.start());
+}
+
 TEST(ShardIdentity, ShockInteraction) {
   Problem<2> P = shockInteraction2D(40);
   SchemeConfig Scheme = SchemeConfig::figureScheme();
