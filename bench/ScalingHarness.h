@@ -18,8 +18,8 @@
 ///
 /// Every leg is built through the RunConfig/SolverFactory surface: the
 /// harness overrides engine/backend/threads per leg and inherits the
-/// rest — scheme, schedule/tile, guard, telemetry — from Opt.Base, so
-/// the sweep honors --tile/--schedule/--guard exactly like the tools.
+/// rest — scheme, schedule, guard, telemetry — from Opt.Base, so the
+/// sweep honors --schedule/--guard exactly like the tools.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +48,7 @@ struct ScalingOptions {
   /// Restrict the sweep to one model ("sac" or "fortran"; empty = both).
   /// With --telemetry this keeps the solver-stage spans single-engine.
   std::string Model;
-  /// Everything else a run is shaped by — scheme, schedule/tile, guard,
+  /// Everything else a run is shaped by — scheme, schedule, guard,
   /// telemetry.  The sweep overrides Engine/Backend/Threads per leg.
   RunConfig Base;
 };
@@ -107,10 +107,6 @@ inline int runScalingExperiment(const ScalingOptions &Opt) {
               Guarded ? ", step-guarded" : "");
   std::printf("# models: sac = array solver on persistent spin pool; "
               "fortran = fused solver on per-loop fork-join\n");
-  if (Opt.Base.TileCfg.Enabled)
-    std::printf("# 2D tiling: %s, dealing %s\n",
-                Opt.Base.TileCfg.str().c_str(),
-                Opt.Base.TileCfg.Dealing.str().c_str());
   std::printf("# host hardware threads: %u (thread counts beyond this "
               "measure oversubscribed dispatch overhead only)\n",
               hardwareThreadCount());
@@ -158,7 +154,6 @@ inline int runScalingExperiment(const ScalingOptions &Opt) {
         {"steps", std::to_string(Opt.Steps)},
         {"threads", ThreadList},
         {"schedule", Opt.Base.Sched.str()},
-        {"tile", Opt.Base.TileCfg.str()},
         {"guard", Guarded ? "on" : "off"},
     };
     if (!writeTelemetryJson(Opt.Base.Telemetry.Path, telemetry::snapshot(),

@@ -1,14 +1,11 @@
 //===- bench/alloc_overhead.cpp - A6: field-buffer pooling ----------------===//
 //
-// A6: prices the FieldPool against one-malloc-per-temporary on the
-// Fig. 4 workload (2D shock interaction, benchmark scheme).  For each
-// engine the harness runs the same stepping loop with the pool enabled
-// and disabled, reporting wall clock, NDArray heap allocations per step
-// (total and steady-state, i.e. after the first warmup step), and the
-// pool's resident footprint.  Determinism makes this a pure performance
-// knob — both arms compute bit-identical fields — so the acceptance
-// question is pooled wall clock <= unpooled, with steady-state
-// allocations pinned at zero.
+// A6: the FieldPool's allocation record on the Fig. 4 workload (2D shock
+// interaction, benchmark scheme).  For each engine the harness times the
+// stepping loop and reports NDArray heap allocations per step (total and
+// steady-state, i.e. after the first warmup step) and the pool's resident
+// footprint.  The acceptance gate is steady-state allocations pinned at
+// zero: the binary exits nonzero otherwise.
 //
 // --json writes the table as a machine-readable artifact
 // (artifacts/BENCH_alloc.json in CI).
@@ -31,12 +28,10 @@ namespace {
 
 struct AllocRow {
   std::string Engine;
-  bool Pooled;
   double Seconds;
   double AllocsPerStep;       ///< all steps, warmup included
   double SteadyAllocsPerStep; ///< after the first step
   uint64_t PoolResidentBytes;
-  double VsUnpooled; ///< Seconds / the same engine's unpooled seconds
 };
 
 struct RunResult {
@@ -84,14 +79,14 @@ bool writeJson(const std::string &Path, size_t Cells, unsigned Steps,
   for (size_t I = 0; I < Rows.size(); ++I) {
     const AllocRow &R = Rows[I];
     std::fprintf(F,
-                 "    {\"engine\": \"%s\", \"pooled\": %s, "
-                 "\"seconds\": %.6f, \"allocs_per_step\": %.2f, "
+                 "    {\"engine\": \"%s\", \"seconds\": %.6f, "
+                 "\"allocs_per_step\": %.2f, "
                  "\"steady_allocs_per_step\": %.2f, "
-                 "\"pool_resident_bytes\": %llu, \"vs_unpooled\": %.4f}%s\n",
-                 R.Engine.c_str(), R.Pooled ? "true" : "false", R.Seconds,
-                 R.AllocsPerStep, R.SteadyAllocsPerStep,
+                 "\"pool_resident_bytes\": %llu}%s\n",
+                 R.Engine.c_str(), R.Seconds, R.AllocsPerStep,
+                 R.SteadyAllocsPerStep,
                  static_cast<unsigned long long>(R.PoolResidentBytes),
-                 R.VsUnpooled, I + 1 < Rows.size() ? "," : "");
+                 I + 1 < Rows.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
@@ -110,8 +105,8 @@ int main(int Argc, const char **Argv) {
   Cfg.Scheme = SchemeConfig::benchmarkScheme();
 
   CommandLine CL("alloc_overhead",
-                 "A6: field-buffer pooling vs per-temporary allocation "
-                 "on the Fig. 4 workload");
+                 "A6: steady-state field-buffer allocations on the "
+                 "Fig. 4 workload");
   CL.addFlag("full", Full, "larger grid and more steps");
   CL.addInt("cells", Cells, "grid cells per axis");
   CL.addUnsigned("steps", Steps, "time steps per run");
@@ -135,42 +130,25 @@ int main(int Argc, const char **Argv) {
 
   std::printf("# A6: %dx%d grid, %u steps, %u threads, min of %u\n", Cells,
               Cells, Steps, Cfg.Threads, Repeats);
-  std::printf("%-8s %-8s %10s %12s %14s %12s %8s\n", "engine", "pool",
-              "wall[s]", "allocs/step", "steady a/step", "pool[KiB]",
-              "vs off");
+  std::printf("%-8s %10s %12s %14s %12s\n", "engine", "wall[s]",
+              "allocs/step", "steady a/step", "pool[KiB]");
 
   std::vector<AllocRow> Rows;
   bool SteadyClean = true;
-  bool PooledNoSlower = true;
   for (EngineKind Engine : Engines) {
     RunConfig Leg = Cfg;
     Leg.Engine = Engine;
-
-    double Unpooled = 0.0;
-    for (bool Pooled : {false, true}) {
-      Leg.Pooling = Pooled;
-      RunResult R = runOnce(Leg, static_cast<size_t>(Cells), Steps, Repeats);
-      double PerStep = static_cast<double>(R.TotalAllocs) / Steps;
-      double SteadyPerStep =
-          static_cast<double>(R.SteadyAllocs) / (Steps - 1);
-      if (!Pooled)
-        Unpooled = R.Seconds;
-      double Ratio = Unpooled > 0.0 ? R.Seconds / Unpooled : 1.0;
-      if (Pooled) {
-        SteadyClean = SteadyClean && R.SteadyAllocs == 0;
-        PooledNoSlower = PooledNoSlower && Ratio <= 1.05;
-      }
-      Rows.push_back({engineKindName(Engine), Pooled, R.Seconds, PerStep,
-                      SteadyPerStep, R.ResidentBytes, Ratio});
-      std::printf("%-8s %-8s %10.3f %12.2f %14.2f %12.1f %8.2f\n",
-                  engineKindName(Engine), Pooled ? "on" : "off", R.Seconds,
-                  PerStep, SteadyPerStep, R.ResidentBytes / 1024.0, Ratio);
-    }
+    RunResult R = runOnce(Leg, static_cast<size_t>(Cells), Steps, Repeats);
+    double PerStep = static_cast<double>(R.TotalAllocs) / Steps;
+    double SteadyPerStep = static_cast<double>(R.SteadyAllocs) / (Steps - 1);
+    SteadyClean = SteadyClean && R.SteadyAllocs == 0;
+    Rows.push_back({engineKindName(Engine), R.Seconds, PerStep, SteadyPerStep,
+                    R.ResidentBytes});
+    std::printf("%-8s %10.3f %12.2f %14.2f %12.1f\n", engineKindName(Engine),
+                R.Seconds, PerStep, SteadyPerStep, R.ResidentBytes / 1024.0);
   }
-  std::printf("# steady-state pooled allocations: %s\n",
+  std::printf("# steady-state allocations: %s\n",
               SteadyClean ? "0 (clean)" : "NONZERO");
-  std::printf("# pooled wall clock vs unpooled: %s\n",
-              PooledNoSlower ? "parity or better" : "slower");
 
   if (!JsonPath.empty()) {
     if (!writeJson(JsonPath, static_cast<size_t>(Cells), Steps, Cfg.Threads,

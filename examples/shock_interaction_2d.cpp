@@ -9,7 +9,7 @@
 //   ./examples/shock_interaction_2d                       # 200x200 demo
 //   ./examples/shock_interaction_2d --cells 400 --frames 4
 //   ./examples/shock_interaction_2d --ms 3.0 --prefix strong
-//   ./examples/shock_interaction_2d --tile 32x128 --backend fork-join
+//   ./examples/shock_interaction_2d --backend fork-join --threads 4
 //
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,7 @@
 //
 // The paper's Fig. 1 experiment with every numerical knob exposed through
 // the shared RunConfig surface: reconstruction, limiter, Riemann solver,
-// integrator, resolution, backend, engine, schedule/tile, guard and
+// integrator, resolution, backend, engine, schedule, guard and
 // telemetry are all selectable, the profile can be written to CSV, and
 // the error against the exact solution is reported.
 //

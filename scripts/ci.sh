@@ -66,13 +66,6 @@ mkdir -p artifacts
     --guard --telemetry artifacts/fig4_telemetry.json
 echo "wrote artifacts/fig4_telemetry.json"
 
-echo "== tiling ablation artifact =="
-# Fast smoke-scale config of the A5 tile sweep; the JSON table is the
-# CI-tracked record of tiled-vs-flattened hot-loop cost.
-./build-ci-Release/bench/ablation_tiling --cells 96 --steps 10 \
-    --threads 2 --json artifacts/BENCH_tiling.json
-echo "wrote artifacts/BENCH_tiling.json"
-
 echo "== checkpoint overhead artifact =="
 # Durability cost record: per-step price of periodic atomic checkpoints
 # at cadences {off, 100, 10} on the Fig. 4 workload.  The acceptance

@@ -41,10 +41,7 @@ namespace sacfd {
 ///
 /// Determinism contract: partial results are formed over workerCount()
 /// equal blocks in index order and combined left-to-right, so the result
-/// depends only on the worker count, not on scheduling.  Under a tiled
-/// backend the blocks are instead the TileGrid's tiles, merged in tile
-/// order — a decomposition that depends only on the extents and the tile
-/// dimensions, making the tiled result reproducible at any worker count.
+/// depends only on the worker count, not on scheduling.
 template <ExprOperand X, typename T, typename Combine>
 T fold(X &&Operand, T Init, Combine Fn, Backend &Exec) {
   auto Ex = toExpr(std::forward<X>(Operand));
@@ -52,32 +49,6 @@ T fold(X &&Operand, T Init, Combine Fn, Backend &Exec) {
   size_t N = S.count();
   if (N == 0)
     return Init;
-
-  if (Exec.tile().Enabled && S.rank() == 2) {
-    size_t Cols = S.dim(1);
-    TileGrid G(S.dim(0), Cols, Exec.tile());
-    InlinePartials<T> Partials(G.count(), Init);
-    Exec.parallelFor(0, G.count(), [&](size_t TBegin, size_t TEnd) {
-      for (size_t Tl = TBegin; Tl != TEnd; ++Tl) {
-        TileRect R = G.rect(Tl);
-        T Acc = Init;
-        Index Ix;
-        Ix.Rank = 2;
-        for (size_t Row = R.RowBegin; Row != R.RowEnd; ++Row) {
-          Ix.Coord[0] = static_cast<std::ptrdiff_t>(Row);
-          for (size_t C = R.ColBegin; C != R.ColEnd; ++C) {
-            Ix.Coord[1] = static_cast<std::ptrdiff_t>(C);
-            Acc = Fn(Acc, static_cast<T>(Ex.eval(Ix)));
-          }
-        }
-        Partials[Tl] = Acc;
-      }
-    });
-    T Result = Init;
-    for (const T &Partial : Partials)
-      Result = Fn(Result, Partial);
-    return Result;
-  }
 
   size_t Blocks = std::min<size_t>(Exec.workerCount(), N);
   InlinePartials<T> Partials(Blocks, Init);

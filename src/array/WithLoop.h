@@ -44,25 +44,22 @@ void forEachIndex(const Shape &S, Backend &Exec, Fn &&Body) {
   if (N == 0)
     return;
   if (S.rank() == 2) {
-    // Rank-2 spaces go through the 2D boundary so the backend can tile
-    // them.  Per-element results do not depend on the traversal grouping,
-    // so tiled and flattened runs write bit-identical arrays.
+    // Rank-2 spaces are dealt as whole rows, so the column coordinate is
+    // a plain counter instead of a carried row-major increment.
     size_t Cols = S.dim(1);
-    Exec.parallelFor2D(
-        S.dim(0), Cols,
-        [&Body, Cols](size_t RowBegin, size_t RowEnd, size_t ColBegin,
-                      size_t ColEnd) {
-          Index Ix;
-          Ix.Rank = 2;
-          for (size_t R = RowBegin; R != RowEnd; ++R) {
-            Ix.Coord[0] = static_cast<std::ptrdiff_t>(R);
-            size_t Linear = R * Cols + ColBegin;
-            for (size_t C = ColBegin; C != ColEnd; ++C, ++Linear) {
-              Ix.Coord[1] = static_cast<std::ptrdiff_t>(C);
-              Body(static_cast<const Index &>(Ix), Linear);
-            }
-          }
-        });
+    Exec.parallelFor(0, S.dim(0), [&Body, Cols](size_t RowBegin,
+                                                size_t RowEnd) {
+      Index Ix;
+      Ix.Rank = 2;
+      size_t Linear = RowBegin * Cols;
+      for (size_t R = RowBegin; R != RowEnd; ++R) {
+        Ix.Coord[0] = static_cast<std::ptrdiff_t>(R);
+        for (size_t C = 0; C != Cols; ++C, ++Linear) {
+          Ix.Coord[1] = static_cast<std::ptrdiff_t>(C);
+          Body(static_cast<const Index &>(Ix), Linear);
+        }
+      }
+    });
     return;
   }
   auto Range = [&S, &Body](size_t Begin, size_t End) {

@@ -129,7 +129,7 @@ DurabilitySetup setupDurableRun(SolverRun<Dim> &Run) {
 
 /// Writes the telemetry JSON report for \p Run when --telemetry was
 /// given; no-op (returning true) otherwise.  The standard metadata —
-/// program, scheme, engine, backend, workers, schedule, tile, guard —
+/// program, scheme, engine, backend, workers, schedule, guard —
 /// is emitted first, then \p Extra entries.  On failure \p Error (when
 /// non-null) names the path that failed.
 template <unsigned Dim>
@@ -146,7 +146,6 @@ bool writeRunTelemetry(const SolverRun<Dim> &Run, const std::string &Program,
       {"backend", backendKindName(Cfg.Backend)},
       {"workers", std::to_string(Run.backend().workerCount())},
       {"schedule", Cfg.Sched.str()},
-      {"tile", Cfg.TileCfg.str()},
       {"guard", Cfg.Guard.Enabled ? "on" : "off"},
   };
   for (auto &Entry : Extra)

@@ -37,11 +37,6 @@ class TaskBackend;
 /// A range body: executes iterations [Begin, End) of a parallel loop.
 using RangeBody = FunctionRef<void(size_t Begin, size_t End)>;
 
-/// A 2D range body: executes the sub-rectangle rows [RowBegin, RowEnd) x
-/// cols [ColBegin, ColEnd) of a rank-2 parallel loop.
-using RangeBody2D = FunctionRef<void(size_t RowBegin, size_t RowEnd,
-                                     size_t ColBegin, size_t ColEnd)>;
-
 /// Abstract parallel-for execution engine.
 ///
 /// parallelFor calls are blocking: all iterations have completed when the
@@ -50,25 +45,16 @@ using RangeBody2D = FunctionRef<void(size_t RowBegin, size_t RowEnd,
 /// execute inline on the calling worker (no nested parallelism), matching
 /// the paper's flat one-level parallelization.
 ///
-/// parallelFor2D extends the boundary to rank-2 index spaces.  The same
-/// contract holds (blocking, disjoint sub-rectangles, nested calls run
-/// inline), and exactly one region is counted per non-empty call, so
-/// region counts — and the "runtime.regions" telemetry counter — are
-/// identical whether a loop runs tiled or flattened.  The base-class
-/// implementation is the legacy row-flattening shim: the row range goes
-/// through parallelFor and every body invocation spans all columns.
-/// Backends with a native implementation honor the configured Tile
-/// (see setTile) to deal cache-sized tiles instead.
+/// Rank-2 and rank-3 loop nests dispatch the same way: the outer (line)
+/// range goes through parallelFor and every body invocation sweeps whole
+/// contiguous lines, so each non-empty loop nest counts exactly one
+/// region.
 class Backend {
 public:
   virtual ~Backend();
 
   /// Executes Body over [Begin, End), partitioned across workers.
   virtual void parallelFor(size_t Begin, size_t End, RangeBody Body) = 0;
-
-  /// Executes Body over the (Rows x Cols) rectangle, partitioned across
-  /// workers.  Default: row-flattening shim over parallelFor.
-  virtual void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body);
 
   /// \returns the number of workers participating in parallelFor,
   /// including the calling thread.
@@ -81,11 +67,6 @@ public:
   /// DAG dispatch (runDag), nullptr otherwise.  Callers with a task graph
   /// probe this instead of RTTI; everyone else stays on parallelFor.
   virtual TaskBackend *taskBackend() { return nullptr; }
-
-  /// Sets the rank-2 tiling policy used by parallelFor2D.  Disabled by
-  /// default (row-flattened legacy behavior).
-  void setTile(const Tile &T) { TileCfg = T; }
-  const Tile &tile() const { return TileCfg; }
 
   /// Number of top-level non-empty parallel regions dispatched so far.
   ///
@@ -110,15 +91,8 @@ protected:
     }
   }
 
-  /// Executes every tile of \p G through this backend's parallelFor,
-  /// honoring G's dealing schedule.  Shared by the native parallelFor2D
-  /// overrides; issues exactly one counted 1D region.
-  void runTileGrid(const TileGrid &G, const Schedule &Dealing,
-                   RangeBody2D Body);
-
 private:
   std::atomic<uint64_t> RegionCount{0};
-  Tile TileCfg = Tile::off();
 };
 
 } // namespace sacfd

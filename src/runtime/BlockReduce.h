@@ -63,42 +63,6 @@ T blockReduce(size_t N, Backend &Exec, T Identity, FoldBlock Fold,
   return Result;
 }
 
-/// Folds the (Rows x Cols) rectangle into a single value of type \p T.
-///
-/// \p Fold is called once per sub-rectangle (RowBegin, RowEnd, ColBegin,
-/// ColEnd) and must return that rectangle's partial.  Under a tiled
-/// backend the sub-rectangles are the TileGrid's tiles and partials merge
-/// in tile order — a decomposition independent of the worker count, so
-/// tiled reductions are reproducible at any parallelism level.  Without
-/// tiling the legacy discipline applies: min(workerCount, Rows) row bands,
-/// each spanning every column, merged in band order.
-template <typename T, typename FoldRect, typename Merge>
-T blockReduce2D(size_t Rows, size_t Cols, Backend &Exec, T Identity,
-                FoldRect Fold, Merge MergeFn) {
-  if (Rows == 0 || Cols == 0)
-    return Identity;
-
-  if (Exec.tile().Enabled) {
-    TileGrid G(Rows, Cols, Exec.tile());
-    InlinePartials<T> Partials(G.count(), Identity);
-    Exec.parallelFor(0, G.count(), [&](size_t TB, size_t TE) {
-      for (size_t Tl = TB; Tl != TE; ++Tl) {
-        TileRect R = G.rect(Tl);
-        Partials[Tl] = Fold(R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd);
-      }
-    });
-    T Result = std::move(Partials.front());
-    for (size_t I = 1; I < Partials.size(); ++I)
-      Result = MergeFn(std::move(Result), std::move(Partials[I]));
-    return Result;
-  }
-
-  return blockReduce<T>(
-      Rows, Exec, Identity,
-      [&](size_t Lo, size_t Hi) { return Fold(Lo, Hi, 0, Cols); },
-      MergeFn);
-}
-
 } // namespace sacfd
 
 #endif // SACFD_RUNTIME_BLOCKREDUCE_H

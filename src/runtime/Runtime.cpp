@@ -47,27 +47,18 @@ std::optional<BackendKind> sacfd::parseBackendKind(std::string_view Text) {
 
 std::unique_ptr<Backend> sacfd::createBackend(BackendKind Kind,
                                               unsigned Threads,
-                                              Schedule Sched,
-                                              const Tile &TileCfg) {
-  std::unique_ptr<Backend> B;
+                                              Schedule Sched) {
   switch (Kind) {
   case BackendKind::Serial:
-    B = std::make_unique<SerialBackend>();
-    break;
+    return std::make_unique<SerialBackend>();
   case BackendKind::SpinPool:
-    B = std::make_unique<SpinBarrierPool>(Threads);
-    break;
+    return std::make_unique<SpinBarrierPool>(Threads);
   case BackendKind::ForkJoin:
-    B = std::make_unique<ForkJoinBackend>(Threads, Sched);
-    break;
+    return std::make_unique<ForkJoinBackend>(Threads, Sched);
   case BackendKind::OpenMp:
-    B = createOmpBackend(Threads);
-    break;
+    return createOmpBackend(Threads);
   case BackendKind::Tasks:
-    B = std::make_unique<TaskBackend>(Threads, Sched);
-    break;
+    return std::make_unique<TaskBackend>(Threads, Sched);
   }
-  if (B)
-    B->setTile(TileCfg);
-  return B;
+  sacfdUnreachable("covered switch");
 }

@@ -50,14 +50,11 @@ std::optional<BackendKind> parseBackendKind(std::string_view Text);
 /// \param Sched honored by ForkJoin (iteration partitioning) and Tasks
 /// (an explicit chunk size sets the task granularity); the spin pool is
 /// always static-block partitioned, like SaC's runtime.
-/// \param TileCfg rank-2 tiling policy installed on the backend
-/// (Backend::setTile); off by default for legacy row-flattened loops.
 /// \returns nullptr only for BackendKind::OpenMp in builds without
 /// OpenMP support.
 std::unique_ptr<Backend>
 createBackend(BackendKind Kind, unsigned Threads,
-              Schedule Sched = Schedule::staticBlock(),
-              const Tile &TileCfg = Tile::off());
+              Schedule Sched = Schedule::staticBlock());
 
 } // namespace sacfd
 

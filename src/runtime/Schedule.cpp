@@ -104,53 +104,13 @@ sacfd::staticPartition(size_t N, unsigned Workers, const Schedule &Sched) {
   return Plan;
 }
 
-SpecParse<Tile> Tile::parseSpec(std::string_view Text) {
-  std::string_view Spec = trim(Text);
-  if (Spec.empty())
-    return SpecParse<Tile>::fail(
-        "empty tile spec (expected off, auto, RxC, or N)");
-  if (equalsLower(Spec, "off") || equalsLower(Spec, "none"))
-    return SpecParse<Tile>::ok(Tile::off());
-  if (equalsLower(Spec, "auto") || equalsLower(Spec, "on"))
-    return SpecParse<Tile>::ok(Tile::automatic());
-
-  size_t Cross = Spec.find_first_of("xX");
-  if (Cross == std::string_view::npos) {
-    std::optional<long long> N = parseInt(Spec);
-    if (!N || *N <= 0)
-      return SpecParse<Tile>::fail("bad tile spec '" + std::string(Spec) +
-                                   "' (expected off, auto, RxC, or a "
-                                   "positive integer N for NxN)");
-    return SpecParse<Tile>::ok(
-        Tile::sized(static_cast<size_t>(*N), static_cast<size_t>(*N)));
-  }
-
-  std::optional<long long> R = parseInt(trim(Spec.substr(0, Cross)));
-  std::optional<long long> C = parseInt(trim(Spec.substr(Cross + 1)));
-  if (!R || *R <= 0 || !C || *C <= 0)
-    return SpecParse<Tile>::fail(
-        "bad tile dimensions in '" + std::string(Spec) +
-        "' (expected RxC with positive integers, e.g. 32x128)");
-  return SpecParse<Tile>::ok(
-      Tile::sized(static_cast<size_t>(*R), static_cast<size_t>(*C)));
-}
-
-std::string Tile::str() const {
-  if (!Enabled)
-    return "off";
-  if (Rows == 0 && Cols == 0)
-    return "auto";
-  return std::to_string(Rows) + "x" + std::to_string(Cols);
-}
-
-TileGrid::TileGrid(size_t Rows, size_t Cols, const Tile &T)
+TileGrid::TileGrid(size_t Rows, size_t Cols, size_t TileRows,
+                   size_t TileCols)
     : Rows(Rows), Cols(Cols) {
   if (Rows == 0 || Cols == 0)
     return;
-  TileR = T.Rows != 0 ? T.Rows : DefaultTileRows;
-  TileC = T.Cols != 0 ? T.Cols : DefaultTileCols;
-  TileR = std::min(std::max<size_t>(TileR, 1), Rows);
-  TileC = std::min(std::max<size_t>(TileC, 1), Cols);
+  TileR = std::clamp<size_t>(TileRows, 1, Rows);
+  TileC = std::clamp<size_t>(TileCols, 1, Cols);
   RowTiles = (Rows + TileR - 1) / TileR;
   ColTiles = (Cols + TileC - 1) / TileC;
 }

@@ -12,13 +12,11 @@
 /// Schedule reproduces that knob for the fork-join backend so the A2
 /// ablation can measure static vs dynamic chunking the way the authors did.
 ///
-/// Tile extends the same idea to rank-2 iteration spaces: the Fig. 4
-/// workload is a 2D stencil, and carving it into cache-sized tiles — dealt
-/// to workers under a Schedule of their own — is the knob
-/// Backend::parallelFor2D exposes.  TileGrid resolves a Tile against a
-/// concrete (Rows, Cols) space; its tile order is row-major and depends
-/// only on the extents and the tile dimensions, never on the worker count,
-/// which is what keeps tile-ordered reductions deterministic.
+/// TileGrid carves a rank-2 (Rows, Cols) space into rectangular tiles: the
+/// grain of the fused engine's dependency-DAG step mode.  Its tile order
+/// is row-major and depends only on the extents and the tile dimensions,
+/// never on the worker count, which is what keeps tile-ordered reductions
+/// deterministic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,49 +111,6 @@ inline IterationChunk staticBlockShare(size_t N, size_t Workers, size_t W) {
 std::vector<std::vector<IterationChunk>>
 staticPartition(size_t N, unsigned Workers, const Schedule &Sched);
 
-/// Tiling policy for rank-2 iteration spaces (Backend::parallelFor2D).
-///
-/// Disabled is the legacy behavior: 2D loops are flattened into row
-/// ranges exactly as before the 2D API existed.  Enabled carves the
-/// (Rows, Cols) space into Rows x Cols tiles of the given dimensions
-/// (0 = resolve an automatic cache-friendly size) and deals whole tiles
-/// to workers under Dealing:
-///   StaticBlock  the contiguous tile range goes through the backend's
-///                native 1D partitioner (its default static split);
-///   StaticChunk  tiles are dealt round-robin in fixed-size groups;
-///   Dynamic      workers pull tile chunks from a shared counter.
-struct Tile {
-  bool Enabled = false;
-  /// Tile height (rows) and width (cols); 0 = automatic.
-  size_t Rows = 0;
-  size_t Cols = 0;
-  /// How whole tiles are dealt to workers.
-  Schedule Dealing = Schedule::staticBlock();
-
-  static Tile off() { return {}; }
-  static Tile automatic() {
-    Tile T;
-    T.Enabled = true;
-    return T;
-  }
-  static Tile sized(size_t Rows, size_t Cols) {
-    Tile T;
-    T.Enabled = true;
-    T.Rows = Rows;
-    T.Cols = Cols;
-    return T;
-  }
-
-  /// Parses "off", "auto", "RxC" (e.g. "32x128"), or "N" (NxN tiles),
-  /// reporting malformed input with a structured error.  The dealing
-  /// schedule is a separate knob (--tile-dealing) and is not part of
-  /// this grammar.
-  static SpecParse<Tile> parseSpec(std::string_view Text);
-
-  /// \returns "off", "auto", or "RxC" (Dealing excluded, as in parseSpec).
-  std::string str() const;
-};
-
 /// One tile of a 2D iteration space: rows [RowBegin, RowEnd) x cols
 /// [ColBegin, ColEnd).
 struct TileRect {
@@ -169,21 +124,14 @@ struct TileRect {
 ///
 /// Tiles are numbered row-major: tile T covers tile-row T / colTiles()
 /// and tile-column T % colTiles().  The decomposition depends only on
-/// the extents and the (resolved) tile dimensions — not on the worker
-/// count or the dealing schedule — so anything keyed by tile index
-/// (per-tile reduction partials, most importantly) is reproducible at
-/// any parallelism level.
+/// the extents and the tile dimensions — not on the worker count — so
+/// anything keyed by tile index (per-tile reduction partials, most
+/// importantly) is reproducible at any parallelism level.
 class TileGrid {
 public:
-  /// Resolves \p T against the space: automatic dimensions become
-  /// DefaultTileRows/DefaultTileCols clamped into the extents.
-  TileGrid(size_t Rows, size_t Cols, const Tile &T);
-
-  /// Automatic tile height: a band tall enough to amortize dispatch.
-  static constexpr size_t DefaultTileRows = 32;
-  /// Automatic tile width: a contiguous run long enough to stream well
-  /// (the last axis is the contiguous one in row-major storage).
-  static constexpr size_t DefaultTileCols = 128;
+  /// Carves the space into \p TileRows x \p TileCols tiles, each
+  /// dimension clamped into [1, extent].
+  TileGrid(size_t Rows, size_t Cols, size_t TileRows, size_t TileCols);
 
   size_t rows() const { return Rows; }
   size_t cols() const { return Cols; }

@@ -36,7 +36,6 @@ public:
   explicit SpinBarrierPool(unsigned Threads) : Team(Threads) {}
 
   void parallelFor(size_t Begin, size_t End, RangeBody Body) override;
-  void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) override;
   unsigned workerCount() const override { return Team.size(); }
   const char *name() const override { return "spin-pool"; }
 

@@ -18,13 +18,13 @@
 /// FIFO, so load imbalance drains without a central queue.
 ///
 /// Two dispatch shapes share the pool:
-///   - parallelFor / parallelFor2D: the Backend contract.  The iteration
-///     range is pre-chunked, chunks are dealt to the deques, and stealing
-///     replaces static partitioning.  Because every chunk executes exactly
-///     once on some worker — and all SacFD parallel bodies are legal on
-///     any disjoint partition, with reduction partials keyed by block or
-///     tile index and merged in index order — steal order cannot change a
-///     single bit of the results.
+///   - parallelFor: the Backend contract.  The iteration range is
+///     pre-chunked, chunks are dealt to the deques, and stealing replaces
+///     static partitioning.  Because every chunk executes exactly once on
+///     some worker — and all SacFD parallel bodies are legal on any
+///     disjoint partition, with reduction partials keyed by block index
+///     and merged in index order — steal order cannot change a single bit
+///     of the results.
 ///   - runDag: a dependency-DAG dispatch for pipelined solver steps.  The
 ///     caller describes tasks as integer payloads plus dependency edges
 ///     (TaskDag); completing a task decrements its successors' counters
@@ -107,7 +107,6 @@ public:
                        Schedule Sched = Schedule::staticBlock());
 
   void parallelFor(size_t Begin, size_t End, RangeBody Body) override;
-  void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) override;
   unsigned workerCount() const override { return Team.size(); }
   const char *name() const override { return "tasks"; }
   TaskBackend *taskBackend() override { return this; }

@@ -86,17 +86,14 @@ public:
       // the result is bit-identical to the per-cell formulation at every
       // worker count.
       constexpr unsigned LineAxis = Dim - 1;
-      double EvMax = blockReduce2D(
-          this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
-          [&](size_t LineBegin, size_t LineEnd, size_t CellBegin,
-              size_t CellEnd) {
+      double EvMax = blockReduce(
+          this->lineCount(LineAxis), this->Exec, 0.0,
+          [&](size_t LineBegin, size_t LineEnd) {
             double Acc = 0.0;
             for (size_t Line = LineBegin; Line != LineEnd; ++Line)
               Acc = kernels::maxEigen<Dim>(
-                  this->U.crun(this->lineStorageBase(LineAxis, Line) +
-                               CellBegin),
-                  Gas_, InvDx.data(), Acc, CellEnd - CellBegin,
-                  this->SimdEnabled);
+                  this->U.crun(this->lineStorageBase(LineAxis, Line)), Gas_,
+                  InvDx.data(), Acc, this->N[LineAxis], this->SimdEnabled);
             return Acc;
           },
           [](double A, double B) { return std::max(A, B); });
@@ -166,14 +163,13 @@ private:
       // one line run of the SSP kernel per interior row.
       double A = Stage.PrevWeight, B = Stage.StageWeight;
       telemetry::ScopedSpan UpdateSpan(SpanUpdate);
-      this->Exec.parallelFor2D(
-          this->lineCount(LineAxis), this->N[LineAxis],
-          [&](size_t LB, size_t LE, size_t CB, size_t CE) {
+      size_t Cells = this->N[LineAxis];
+      this->Exec.parallelFor(
+          0, this->lineCount(LineAxis), [&](size_t LB, size_t LE) {
             for (size_t Line = LB; Line != LE; ++Line) {
-              size_t SBase = this->lineStorageBase(LineAxis, Line) + CB;
-              size_t RBase = Line * this->N[LineAxis] + CB;
+              size_t SBase = this->lineStorageBase(LineAxis, Line);
               kernels::sspUpdate<Dim>(this->U.run(SBase), Un.crun(SBase),
-                                      Res.crun(RBase), A, B, Dt, CE - CB,
+                                      Res.crun(Line * Cells), A, B, Dt, Cells,
                                       this->SimdEnabled);
             }
           });

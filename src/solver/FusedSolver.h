@@ -40,8 +40,8 @@
 ///
 /// The numerics (reconstruction, Riemann solver, stage table) are shared
 /// with ArraySolver, so for identical settings the two engines produce
-/// bit-identical fields.  The DAG mode preserves that: every task covers
-/// the same cell sub-ranges a tiled loop run would, per-cell arithmetic
+/// bit-identical fields.  The DAG mode preserves that: sub-range seam
+/// faces are recomputed from the same stencils, per-cell arithmetic
 /// order within the RHS is fixed by tile-local axis ordering, and the
 /// max-reduction is grouping-independent — so fields stay bit-identical
 /// to serial at every worker count.
@@ -83,9 +83,20 @@ public:
   /// True when steps run as a task DAG rather than barrier-ed regions.
   bool dagStepping() const { return DagExec != nullptr; }
 
-  /// The Fortran GetDT: nested DO loops, rectangle maxima in parallel,
-  /// then a serial max over rectangles.  The max chain is exact under any
-  /// grouping, so tiled and flattened runs produce bit-identical dt.
+  /// The DAG step mode's tile decomposition of a (Lines x Cells) update
+  /// space: 32 x 128 tiles (a band of lines tall enough to amortize task
+  /// overhead, a contiguous run long enough to stream), clipped to the
+  /// extents.  The grain the DAG was measured with (EXPERIMENTS A7); it
+  /// depends on the extents alone, never the worker count, so the step
+  /// graph and its telemetry are identical at every worker count.
+  static TileGrid stepDagTiles(size_t Lines, size_t Cells) {
+    return TileGrid(Lines, Cells, 32, 128);
+  }
+
+  /// The Fortran GetDT: nested DO loops, line-block maxima in parallel,
+  /// then a serial max over blocks.  The max chain is exact under any
+  /// grouping, so every worker count and the DAG mode's per-tile partials
+  /// produce bit-identical dt.
   /// In DAG mode the previous step already merged the per-tile maxima
   /// (cache keyed on the clock, invalidated by onClockRestored), so this
   /// usually returns without touching the field.
@@ -100,11 +111,10 @@ public:
     constexpr unsigned LineAxis = Dim - 1;
     size_t Lines = this->lineCount(LineAxis);
 
-    double EvMax = blockReduce2D(
-        Lines, this->N[LineAxis], this->Exec, 0.0,
-        [&](size_t LineBegin, size_t LineEnd, size_t CellBegin,
-            size_t CellEnd) {
-          return maxEigenRange(LineBegin, LineEnd, CellBegin, CellEnd);
+    double EvMax = blockReduce(
+        Lines, this->Exec, 0.0,
+        [&](size_t LineBegin, size_t LineEnd) {
+          return maxEigenRange(LineBegin, LineEnd, 0, this->N[LineAxis]);
         },
         [](double A, double B) { return std::max(A, B); });
     return this->dtFromMaxEigen(EvMax);
@@ -152,30 +162,22 @@ protected:
         this->Exec.parallelFor(0, InteriorCount, [&](size_t B, size_t E) {
           kernels::zeroState<Dim>(Res.run(B), E - B, this->SimdEnabled);
         });
-        for (unsigned Axis = 0; Axis < Dim; ++Axis) {
-          // (line, cell-along-axis) is the 2D iteration space; the
-          // backend may tile it.  Faces are recomputed at sub-range
-          // seams, so tiled and flattened sweeps are bit-identical.
-          this->Exec.parallelFor2D(
-              this->lineCount(Axis), this->N[Axis],
-              [&, Axis](size_t LineBegin, size_t LineEnd, size_t CellBegin,
-                        size_t CellEnd) {
-                sweepRange(Axis, LineBegin, LineEnd, CellBegin, CellEnd);
+        for (unsigned Axis = 0; Axis < Dim; ++Axis)
+          // Workers split the lines; every line sweeps all its cells.
+          this->Exec.parallelFor(
+              0, this->lineCount(Axis),
+              [&, Axis](size_t LineBegin, size_t LineEnd) {
+                sweepRange(Axis, LineBegin, LineEnd, 0, this->N[Axis]);
               });
-        }
       }
 
       // Update loop (one region): U = A*Un + B*(U + dt*Res) on interior.
-      // Runs through the 2D boundary as (line, cell) so the backend can
-      // tile it; per-element results are grouping-independent.
       constexpr unsigned LineAxis = Dim - 1;
-      size_t Lines = this->lineCount(LineAxis);
       telemetry::ScopedSpan UpdateSpan(SpanUpdate);
-      this->Exec.parallelFor2D(
-          Lines, this->N[LineAxis],
-          [&](size_t LB, size_t LE, size_t CB, size_t CE) {
-            updateRange(Stage.PrevWeight, Stage.StageWeight, Dt, LB, LE, CB,
-                        CE);
+      this->Exec.parallelFor(
+          0, this->lineCount(LineAxis), [&](size_t LB, size_t LE) {
+            updateRange(Stage.PrevWeight, Stage.StageWeight, Dt, LB, LE, 0,
+                        this->N[LineAxis]);
           });
     }
   }
@@ -197,9 +199,9 @@ private:
   /// the RHS.  This is the fused Fortran structure: flux and difference
   /// in one pass over the line, no global flux array.  Each cell's
   /// update reads faces I and I+1 computed from the same stencils
-  /// regardless of the sub-range, so tiled, flattened and
-  /// task-decomposed sweeps are bit-identical (sub-range boundary faces
-  /// are recomputed, not communicated).
+  /// regardless of the sub-range, so line-split and tile-decomposed
+  /// (DAG) sweeps are bit-identical (sub-range boundary faces are
+  /// recomputed, not communicated).
   ///
   /// Sweeps whose face rows are contiguous in storage run on the kernels
   /// (the last axis always; a 2D axis-0 sweep restructured into row
@@ -372,9 +374,9 @@ private:
   //===--------------------------------------------------------------------===//
   // Dependency-DAG step mode (TaskBackend only, Dim <= 2)
   //
-  // The interior is carved once into the backend's TileGrid over the
-  // update space (lines x cells-along-last-axis; automatic tile sizes
-  // when --tile is off).  One step becomes, per tile T:
+  // The interior is carved once into a TileGrid over the update space
+  // (lines x cells-along-last-axis; dimensions from stepDagTiles).  One
+  // step becomes, per tile T:
   //
   //   Snap(T)                 copy U -> Un on T's interior cells
   //   per stage s:
@@ -390,8 +392,8 @@ private:
   // overwrites it" and "a stage's boundary task waits for the previous
   // stage's updates of every edge-band tile".  Ghost-reading flux tasks
   // depend on their stage's boundary task; interior tiles don't, which is
-  // precisely the pipelining headroom.  Determinism: each task covers the
-  // same cell sub-ranges as a tiled loop run, the per-cell RHS sequence
+  // precisely the pipelining headroom.  Determinism: seam faces are
+  // recomputed from the same stencils, the per-cell RHS sequence
   // (zero, -axis0, -axis1) is fixed by the tile-local flux chain, and the
   // dt merge is an exact max in tile order — so any steal order yields
   // bit-identical fields and telemetry gauges.
@@ -460,11 +462,7 @@ private:
 
   void buildStepDag() {
     constexpr unsigned LineAxis = Dim - 1;
-    size_t Lines = this->lineCount(LineAxis);
-    Tile T = this->Exec.tile();
-    if (!T.Enabled)
-      T = Tile::automatic();
-    DagGrid.emplace(Lines, this->N[LineAxis], T);
+    DagGrid = stepDagTiles(this->lineCount(LineAxis), this->N[LineAxis]);
     const TileGrid &G = *DagGrid;
     size_t K = G.count();
     DtPartials.assign(K, 0.0);

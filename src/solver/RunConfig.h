@@ -7,7 +7,7 @@
 ///
 /// \file
 /// One struct holding everything that shapes a solver run — scheme,
-/// engine, backend, schedule/tile, step guard and telemetry — with one
+/// engine, backend, schedule, step guard and telemetry — with one
 /// shared CLI surface, so examples and benches stop re-assembling these
 /// options from their own flag-parsing code.
 ///
@@ -22,9 +22,9 @@
 ///   auto Run = makeSolverRun<2>(Prob, Cfg);   // SolverFactory.h
 /// \endcode
 ///
-/// resolve() rejects malformed values (including --schedule and --tile
-/// specs) with a structured error naming the flag and the accepted
-/// grammar — there is no silent fall-back to defaults.
+/// resolve() rejects malformed values (including --schedule specs) with
+/// a structured error naming the flag and the accepted grammar — there is
+/// no silent fall-back to defaults.
 ///
 /// RunConfig lives in the solver library rather than support because it
 /// aggregates SchemeConfig/GuardOptions (solver) and TelemetryOptions
@@ -94,17 +94,11 @@ struct RunConfig {
   StepMode Step = StepMode::Loops;
   /// Worker threads; defaults to defaultThreadCount().
   unsigned Threads;
-  /// 1D iteration schedule (honored by the fork-join backend).
+  /// Iteration schedule (honored by the fork-join and tasks backends).
   Schedule Sched = Schedule::staticBlock();
-  /// Rank-2 tiling policy for parallelFor2D (off = legacy row flattening).
-  Tile TileCfg = Tile::off();
   GuardCliOptions Guard;
   TelemetryCliOptions Telemetry;
   CheckpointCliOptions Checkpoint;
-  /// Whether the solver's FieldPool recycles stage temporaries (the
-  /// zero-allocation hot path).  Off = one malloc/free per temporary,
-  /// the unpooled arm of the A6 ablation.  Bit-identical either way.
-  bool Pooling = true;
   /// Whether the per-TU vectorized kernel build runs the contiguous
   /// inner loops (--no-simd turns it off).  The scalar and SIMD builds
   /// are bit-identical by construction; the flag exists for ablation
@@ -122,13 +116,10 @@ struct RunConfig {
   void registerScenarioFlag(CommandLine &CL);
   /// Binds --engine.
   void registerEngineFlag(CommandLine &CL);
-  /// Binds --backend, --execution (an alias of --backend that wins when
-  /// both are given), --threads and --step-mode.
+  /// Binds --backend, --threads and --step-mode.
   void registerBackendFlags(CommandLine &CL);
-  /// Binds --schedule, --tile and --tile-dealing.
+  /// Binds --schedule.
   void registerScheduleFlags(CommandLine &CL);
-  /// Binds --no-pool (disable field-buffer recycling).
-  void registerPoolFlag(CommandLine &CL);
   /// Binds --no-simd.
   void registerSimdFlag(CommandLine &CL);
   /// Binds the step-guard flag group (see GuardOptions.h).
@@ -142,7 +133,7 @@ struct RunConfig {
 
   /// Resolves the staged flag strings into the typed fields.  \returns
   /// false with a structured message in \p Error on any malformed value
-  /// (unknown kind names, bad schedule/tile specs).  Only flag groups
+  /// (unknown kind names, bad schedule specs).  Only flag groups
   /// that were registered are resolved.
   bool resolve(std::string &Error);
 
@@ -150,12 +141,12 @@ struct RunConfig {
   /// the parsed flags.  The convenience path for tools.
   void resolveOrExit();
 
-  /// Builds the configured backend (threads, schedule, tile installed).
+  /// Builds the configured backend (threads and schedule installed).
   /// \returns nullptr only for an OpenMP request in a non-OpenMP build.
   std::unique_ptr<sacfd::Backend> makeBackend() const;
 
   /// One-line description of the execution setup for reports, e.g.
-  /// "array/spin-pool(4) tile=32x128".
+  /// "fused/tasks(4) step=dag".
   std::string executionStr() const;
 
   /// True when a --scenario spec was given (or seeded via
@@ -183,13 +174,9 @@ private:
   std::string IntegratorName;
   std::string EngineName;
   std::string BackendName;
-  std::string ExecutionName;
   std::string StepModeName;
   std::string ScheduleSpec;
-  std::string TileSpec;
-  std::string TileDealingSpec;
   std::string ScenarioSpecText;
-  bool NoPoolFlag = false;
   bool NoSimdFlag = false;
   /// The CommandLine the register*() calls bound to, for
   /// flagWasSet() — scenario tuning must lose to explicit user flags.

@@ -25,10 +25,9 @@
 ///
 /// Grammar: `name[:key=value[,key=value...]]`.  Every malformed spec,
 /// unknown name, undeclared key or bad value is a structured error — no
-/// silent fallback (the SpecParse contract shared with --schedule and
-/// --tile).  The registry also rejects any factory that forgets to set a
-/// positive Problem::EndTime, closing the old silently-default-to-1.0
-/// hole.
+/// silent fallback (the SpecParse contract shared with --schedule).  The
+/// registry also rejects any factory that forgets to set a positive
+/// Problem::EndTime, closing the old silently-default-to-1.0 hole.
 ///
 /// Built-in scenarios live in src/solver/scenarios/, one translation
 /// unit per family (Athena++ pgen-style).  Each TU exposes a

@@ -13,7 +13,7 @@
 /// — a handful.  A std::vector there puts a malloc/free on the GetDT
 /// path of every step; this buffer keeps small counts (<= InlineCap) in
 /// stack storage and only falls back to the heap for large counts (a
-/// fine-grained tile grid can exceed the cap).
+/// team wider than the cap).
 ///
 //===----------------------------------------------------------------------===//
 

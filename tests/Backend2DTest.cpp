@@ -1,12 +1,15 @@
-//===- tests/Backend2DTest.cpp - parallelFor2D conformance tests ----------===//
+//===- tests/Backend2DTest.cpp - Rank-2 dispatch conformance tests --------===//
 //
-// The 2D iteration-space contract: every backend must visit each (row,
-// col) cell exactly once — tiled or flattened, at any worker count and
-// under every tile-dealing schedule — count exactly one region per
-// non-empty call, and produce bit-identical solver fields and telemetry
-// whether the hot loops run tiled or row-flattened.  The field/telemetry
-// half is the acceptance gate of the tiling work: tiling may only
-// reorder the arithmetic, never change it.
+// The 2D iteration-space contract.  A rank-2 space reaches a backend in
+// one of two shapes: row-flattened (the line range goes through
+// parallelFor and every body sweeps whole lines — how every loop nest,
+// with-loop and GetDT reduction runs) or as the TileGrid that is the DAG
+// step mode's grain.  Every backend must visit each (row, col) cell
+// exactly once in either shape — at any worker count and under every
+// dealing schedule — count exactly one region per non-empty call, and
+// reduce exactly.  The solver half pins the fields and telemetry of the
+// real engines: how the lines are dealt (one block per worker, fixed
+// chunks, dynamically) may only reorder the arithmetic, never change it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -37,16 +41,75 @@ constexpr BackendKind kAllKinds[] = {BackendKind::Serial,
                                      BackendKind::SpinPool,
                                      BackendKind::Tasks};
 
+/// How a case hands the 2D space to the backend.
+struct Shape2D {
+  enum class Kind { Rows, AutoTiles, SizedTiles };
+  Kind K = Kind::Rows;
+  size_t TileRows = 0;
+  size_t TileCols = 0;
+  /// The schedule the backend deals rows or tiles under.
+  Schedule Dealing = Schedule::staticBlock();
+
+  static Shape2D rows() { return {}; }
+  static Shape2D autoTiles() { return {Kind::AutoTiles, 0, 0, {}}; }
+  static Shape2D tiles(size_t R, size_t C,
+                       Schedule D = Schedule::staticBlock()) {
+    return {Kind::SizedTiles, R, C, D};
+  }
+
+  /// The tile decomposition of a (Rows x Cols) space: the DAG step
+  /// mode's 32 x 128 grain for AutoTiles, the given size otherwise.
+  TileGrid grid(size_t Rows, size_t Cols) const {
+    if (K == Kind::AutoTiles)
+      return FusedSolver<2>::stepDagTiles(Rows, Cols);
+    return TileGrid(Rows, Cols, TileRows, TileCols);
+  }
+
+  std::string str() const {
+    switch (K) {
+    case Kind::Rows:
+      return "off";
+    case Kind::AutoTiles:
+      return "auto_" + Dealing.str();
+    case Kind::SizedTiles:
+      return std::to_string(TileRows) + "x" + std::to_string(TileCols) +
+             "_" + Dealing.str();
+    }
+    return "?";
+  }
+};
+
+/// Visits the (Rows x Cols) space as rectangles through one parallelFor:
+/// whole-line row blocks, or the tiles of \p Sh's grid in row-major
+/// order.  Empty spaces dispatch nothing.
+template <typename RectFn>
+void dispatch2D(Backend &B, const Shape2D &Sh, size_t Rows, size_t Cols,
+                RectFn &&Body) {
+  if (Rows == 0 || Cols == 0)
+    return;
+  if (Sh.K == Shape2D::Kind::Rows) {
+    B.parallelFor(0, Rows, [&](size_t RB, size_t RE) {
+      Body(RB, RE, size_t{0}, Cols);
+    });
+    return;
+  }
+  TileGrid G = Sh.grid(Rows, Cols);
+  B.parallelFor(0, G.count(), [&](size_t TB, size_t TE) {
+    for (size_t T = TB; T != TE; ++T) {
+      TileRect R = G.rect(T);
+      Body(R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd);
+    }
+  });
+}
+
 struct Backend2DCase {
   BackendKind Kind;
   unsigned Threads;
-  Tile TileCfg;
+  Shape2D Space;
 
   std::string label() const {
     std::string S = backendKindName(Kind);
-    S += "_t" + std::to_string(Threads) + "_" + TileCfg.str();
-    if (TileCfg.Enabled)
-      S += "_" + TileCfg.Dealing.str();
+    S += "_t" + std::to_string(Threads) + "_" + Space.str();
     for (char &C : S)
       if (C == '-' || C == ',')
         C = '_';
@@ -56,27 +119,19 @@ struct Backend2DCase {
 
 std::vector<Backend2DCase> allCases() {
   std::vector<Backend2DCase> Cases;
-  const Tile Tiles[] = {
-      Tile::off(),
-      Tile::automatic(),
-      Tile::sized(3, 5), // deliberately ragged vs the test extents
-      [] {
-        Tile T = Tile::sized(4, 16);
-        T.Dealing = Schedule::staticChunk(2);
-        return T;
-      }(),
-      [] {
-        Tile T = Tile::sized(4, 16);
-        T.Dealing = Schedule::dynamic(1);
-        return T;
-      }(),
+  const Shape2D Spaces[] = {
+      Shape2D::rows(),
+      Shape2D::autoTiles(),
+      Shape2D::tiles(3, 5), // deliberately ragged vs the test extents
+      Shape2D::tiles(4, 16, Schedule::staticChunk(2)),
+      Shape2D::tiles(4, 16, Schedule::dynamic(1)),
   };
   for (BackendKind Kind : kAllKinds)
     for (unsigned Threads : kWorkerCounts) {
       if (Kind == BackendKind::Serial && Threads != 1)
         continue;
-      for (const Tile &T : Tiles)
-        Cases.push_back({Kind, Threads, T});
+      for (const Shape2D &Sp : Spaces)
+        Cases.push_back({Kind, Threads, Sp});
     }
   return Cases;
 }
@@ -85,8 +140,12 @@ class ParallelFor2DTest : public ::testing::TestWithParam<Backend2DCase> {
 protected:
   std::unique_ptr<Backend> makeBackend() const {
     const Backend2DCase &C = GetParam();
-    return createBackend(C.Kind, C.Threads, Schedule::staticBlock(),
-                         C.TileCfg);
+    return createBackend(C.Kind, C.Threads, C.Space.Dealing);
+  }
+
+  template <typename RectFn>
+  void dispatch(Backend &B, size_t Rows, size_t Cols, RectFn &&Body) const {
+    dispatch2D(B, GetParam().Space, Rows, Cols, std::forward<RectFn>(Body));
   }
 };
 
@@ -99,13 +158,12 @@ TEST_P(ParallelFor2DTest, EachCellRunsExactlyOnce) {
   for (auto &H : Hits)
     H.store(0);
 
-  B->parallelFor2D(Rows, Cols,
-                   [&Hits](size_t RB, size_t RE, size_t CB, size_t CE) {
-                     for (size_t R = RB; R < RE; ++R)
-                       for (size_t C = CB; C < CE; ++C)
-                         Hits[R * Cols + C].fetch_add(
-                             1, std::memory_order_relaxed);
-                   });
+  dispatch(*B, Rows, Cols,
+           [&Hits](size_t RB, size_t RE, size_t CB, size_t CE) {
+             for (size_t R = RB; R < RE; ++R)
+               for (size_t C = CB; C < CE; ++C)
+                 Hits[R * Cols + C].fetch_add(1, std::memory_order_relaxed);
+           });
 
   for (size_t I = 0; I < Rows * Cols; ++I)
     ASSERT_EQ(Hits[I].load(), 1) << "cell " << I;
@@ -115,23 +173,22 @@ TEST_P(ParallelFor2DTest, RectsStayInBounds) {
   auto B = makeBackend();
   constexpr size_t Rows = 19, Cols = 31;
   std::atomic<bool> Ok{true};
-  B->parallelFor2D(Rows, Cols,
-                   [&Ok](size_t RB, size_t RE, size_t CB, size_t CE) {
-                     if (RB >= RE || CB >= CE || RE > Rows || CE > Cols)
-                       Ok.store(false);
-                   });
+  dispatch(*B, Rows, Cols, [&Ok](size_t RB, size_t RE, size_t CB, size_t CE) {
+    if (RB >= RE || CB >= CE || RE > Rows || CE > Cols)
+      Ok.store(false);
+  });
   EXPECT_TRUE(Ok.load());
 }
 
 TEST_P(ParallelFor2DTest, CountsExactlyOneRegionPerCall) {
   auto B = makeBackend();
   uint64_t Before = B->regionsDispatched();
-  B->parallelFor2D(16, 16, [](size_t, size_t, size_t, size_t) {});
+  dispatch(*B, 16, 16, [](size_t, size_t, size_t, size_t) {});
   EXPECT_EQ(B->regionsDispatched(), Before + 1);
 
   // Empty spaces dispatch nothing.
-  B->parallelFor2D(0, 16, [](size_t, size_t, size_t, size_t) {});
-  B->parallelFor2D(16, 0, [](size_t, size_t, size_t, size_t) {});
+  dispatch(*B, 0, 16, [](size_t, size_t, size_t, size_t) {});
+  dispatch(*B, 16, 0, [](size_t, size_t, size_t, size_t) {});
   EXPECT_EQ(B->regionsDispatched(), Before + 1);
 }
 
@@ -143,13 +200,13 @@ TEST_P(ParallelFor2DTest, NestedCallsFallBackInline) {
     H.store(0);
   B->parallelFor(0, 2, [&](size_t Begin, size_t End) {
     for (size_t I = Begin; I < End; ++I)
-      B->parallelFor2D(Rows, Cols,
-                       [&](size_t RB, size_t RE, size_t CB, size_t CE) {
-                         for (size_t R = RB; R < RE; ++R)
-                           for (size_t C = CB; C < CE; ++C)
-                             Hits[R * Cols + C].fetch_add(
-                                 1, std::memory_order_relaxed);
-                       });
+      dispatch(*B, Rows, Cols,
+               [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+                 for (size_t R = RB; R < RE; ++R)
+                   for (size_t C = CB; C < CE; ++C)
+                     Hits[R * Cols + C].fetch_add(1,
+                                                  std::memory_order_relaxed);
+               });
   });
   for (size_t I = 0; I < Rows * Cols; ++I)
     ASSERT_EQ(Hits[I].load(), 2) << "cell " << I;
@@ -160,16 +217,38 @@ TEST_P(ParallelFor2DTest, BlockReduce2DMatchesSerialSum) {
   constexpr size_t Rows = 37, Cols = 53;
   // Max of a cell-unique function: exact under any grouping, so the
   // result must be identical no matter how the space is carved.
-  double Got = blockReduce2D<double>(
-      Rows, Cols, *B, -1.0,
-      [](size_t RB, size_t RE, size_t CB, size_t CE) {
-        double M = -1.0;
-        for (size_t R = RB; R < RE; ++R)
-          for (size_t C = CB; C < CE; ++C)
-            M = std::max(M, static_cast<double>(R * 1000 + C));
-        return M;
-      },
-      [](double A, double Bv) { return std::max(A, Bv); });
+  auto FoldRect = [](size_t RB, size_t RE, size_t CB, size_t CE) {
+    double M = -1.0;
+    for (size_t R = RB; R < RE; ++R)
+      for (size_t C = CB; C < CE; ++C)
+        M = std::max(M, static_cast<double>(R * 1000 + C));
+    return M;
+  };
+  auto Max = [](double A, double Bv) { return std::max(A, Bv); };
+  const Shape2D &Sp = GetParam().Space;
+  double Got;
+  if (Sp.K == Shape2D::Kind::Rows) {
+    // The GetDT shape: line blocks folded over whole lines.
+    Got = blockReduce<double>(
+        Rows, *B, -1.0,
+        [&](size_t RB, size_t RE) { return FoldRect(RB, RE, 0, Cols); },
+        Max);
+  } else {
+    // The DAG's: per-tile partials merged in tile order.
+    TileGrid G = Sp.grid(Rows, Cols);
+    Got = blockReduce<double>(
+        G.count(), *B, -1.0,
+        [&](size_t TB, size_t TE) {
+          double M = -1.0;
+          for (size_t T = TB; T != TE; ++T) {
+            TileRect R = G.rect(T);
+            M = std::max(M,
+                         FoldRect(R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd));
+          }
+          return M;
+        },
+        Max);
+  }
   EXPECT_EQ(Got, static_cast<double>((Rows - 1) * 1000 + (Cols - 1)));
 }
 
@@ -179,8 +258,41 @@ INSTANTIATE_TEST_SUITE_P(
       return Info.param.label();
     });
 
+TEST(TileGridTest, ResolvesAutomaticAndClampsToExtents) {
+  // The DAG step mode's grain: 32 x 128 tiles whatever the grid.
+  for (size_t Cells : {130u, 256u, 400u, 1000u}) {
+    TileGrid G = FusedSolver<2>::stepDagTiles(Cells, Cells);
+    EXPECT_EQ(G.tileRows(), 32u) << Cells;
+    EXPECT_EQ(G.tileCols(), 128u) << Cells;
+    EXPECT_EQ(G.rowTiles(), (Cells + 31) / 32) << Cells;
+    EXPECT_EQ(G.colTiles(), (Cells + 127) / 128) << Cells;
+  }
+  // Clipped to the extents: a 96^2 grid runs three 32 x 96 tiles, and
+  // a 1D line one tile per 128 cells.
+  TileGrid Small = FusedSolver<2>::stepDagTiles(96, 96);
+  EXPECT_EQ(Small.tileCols(), 96u);
+  EXPECT_EQ(Small.count(), 3u);
+  EXPECT_EQ(FusedSolver<1>::stepDagTiles(1, 400).count(), 4u);
+
+  // Requested tiles larger than the space clamp to one tile.
+  TileGrid Clamped(10, 20, 64, 64);
+  EXPECT_EQ(Clamped.tileRows(), 10u);
+  EXPECT_EQ(Clamped.tileCols(), 20u);
+  EXPECT_EQ(Clamped.count(), 1u);
+
+  // Zero-sized tiles clamp up to one cell.
+  TileGrid Unit(3, 4, 0, 0);
+  EXPECT_EQ(Unit.tileRows(), 1u);
+  EXPECT_EQ(Unit.tileCols(), 1u);
+  EXPECT_EQ(Unit.count(), 12u);
+
+  TileGrid Empty(0, 50, 32, 128);
+  EXPECT_EQ(Empty.count(), 0u);
+  EXPECT_EQ(FusedSolver<2>::stepDagTiles(0, 50).count(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
-// Tiled vs flattened bit-identity on the real solvers
+// Line-dealing bit-identity on the real solvers
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -224,15 +336,15 @@ void expectSameTelemetry(const TelemetryDigest &Ref,
   }
 }
 
-/// Runs \p Steps of a fresh solver on a (Kind, Workers, Tile) backend
+/// Runs \p Steps of a fresh solver on a (Kind, Workers, Dealing) backend
 /// with full telemetry, returning the digest and the live solver.
 template <typename SolverT>
-TelemetryDigest runTiled(const Problem<2> &Prob, const SchemeConfig &Scheme,
+TelemetryDigest runDealt(const Problem<2> &Prob, const SchemeConfig &Scheme,
                          BackendKind Kind, unsigned Workers,
-                         const Tile &TileCfg, unsigned Steps,
+                         const Schedule &Dealing, unsigned Steps,
                          std::unique_ptr<Backend> &Exec,
                          std::unique_ptr<SolverT> &Out) {
-  Exec = createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
+  Exec = createBackend(Kind, Workers, Dealing);
   telemetry::reset();
   telemetry::setGaugeStride(1);
   telemetry::setEnabled(true);
@@ -244,37 +356,35 @@ TelemetryDigest runTiled(const Problem<2> &Prob, const SchemeConfig &Scheme,
 }
 
 template <typename SolverT>
-void checkTiledIdentity(const Problem<2> &Prob, const SchemeConfig &Scheme,
-                        unsigned Steps) {
-  // Reference: serial, tiling off (the legacy row-flattened execution).
+void checkDealingIdentity(const Problem<2> &Prob, const SchemeConfig &Scheme,
+                          unsigned Steps) {
+  // Reference: serial, one block (the whole line range).
   std::unique_ptr<Backend> RefExec;
   std::unique_ptr<SolverT> Ref;
-  TelemetryDigest RefTelem = runTiled<SolverT>(
-      Prob, Scheme, BackendKind::Serial, 1, Tile::off(), Steps, RefExec,
-      Ref);
+  TelemetryDigest RefTelem =
+      runDealt<SolverT>(Prob, Scheme, BackendKind::Serial, 1,
+                        Schedule::staticBlock(), Steps, RefExec, Ref);
   ASSERT_FALSE(RefTelem.Counters.empty());
 
-  Tile Dynamic = Tile::sized(8, 16);
-  Dynamic.Dealing = Schedule::dynamic(1);
-  const Tile Tiles[] = {Tile::automatic(), Tile::sized(3, 7), Dynamic};
+  const Schedule Dealings[] = {Schedule::staticChunk(3),
+                               Schedule::staticChunk(7),
+                               Schedule::dynamic(1)};
 
   for (BackendKind Kind : kAllKinds)
     for (unsigned Workers : kWorkerCounts) {
       if (Kind == BackendKind::Serial && Workers != 1)
         continue;
-      for (const Tile &T : Tiles) {
+      for (const Schedule &D : Dealings) {
         std::unique_ptr<Backend> Exec;
         std::unique_ptr<SolverT> S;
-        TelemetryDigest Telem = runTiled<SolverT>(Prob, Scheme, Kind,
-                                                  Workers, T, Steps, Exec,
-                                                  S);
+        TelemetryDigest Telem =
+            runDealt<SolverT>(Prob, Scheme, Kind, Workers, D, Steps, Exec, S);
         std::string Label = std::string(Exec->name()) + "(" +
-                            std::to_string(Workers) + ") tile=" + T.str() +
-                            "/" + T.Dealing.str();
+                            std::to_string(Workers) + ") " + D.str();
         EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
         EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
         // The telemetry stream — including the region counters — must
-        // not notice tiling: one counted region per converted loop.
+        // not notice the dealing: one counted region per loop nest.
         expectSameTelemetry(RefTelem, Telem, Label);
       }
     }
@@ -291,17 +401,17 @@ protected:
 } // namespace
 
 TEST_F(Tiled2DIdentityTest, ArraySolverBenchmarkScheme) {
-  checkTiledIdentity<ArraySolver<2>>(shockInteraction2D(24, 2.2, 12.0),
-                                     SchemeConfig::benchmarkScheme(), 6);
+  checkDealingIdentity<ArraySolver<2>>(shockInteraction2D(24, 2.2, 12.0),
+                                       SchemeConfig::benchmarkScheme(), 6);
 }
 
 TEST_F(Tiled2DIdentityTest, FusedSolverBenchmarkScheme) {
-  checkTiledIdentity<FusedSolver<2>>(shockInteraction2D(24, 2.2, 12.0),
-                                     SchemeConfig::benchmarkScheme(), 6);
+  checkDealingIdentity<FusedSolver<2>>(shockInteraction2D(24, 2.2, 12.0),
+                                       SchemeConfig::benchmarkScheme(), 6);
 }
 
 TEST_F(Tiled2DIdentityTest, ArraySolverFigureScheme) {
-  // WENO3 + the limiter exercise the widest stencils across tile seams.
-  checkTiledIdentity<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
-                                     SchemeConfig::figureScheme(), 5);
+  // WENO3 + the limiter exercise the widest stencils across chunk seams.
+  checkDealingIdentity<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
+                                       SchemeConfig::figureScheme(), 5);
 }

@@ -109,11 +109,13 @@ TelemetryDigest runInstrumented(const Problem<Dim> &Prob,
   return D;
 }
 
+/// The matrix: every parallel backend at every worker count, its loop
+/// nests' lines dealt under \p Dealing, must reproduce the serial
+/// one-block reference bitwise — fields, time and telemetry.
 template <typename SolverT, unsigned Dim>
 void checkMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
-                 unsigned Steps, const Tile &TileCfg = Tile::off()) {
-  // The reference stays untiled: tiled execution must be bit-identical
-  // to the legacy row-flattened serial run, not merely self-consistent.
+                 unsigned Steps,
+                 const Schedule &Dealing = Schedule::staticBlock()) {
   auto RefExec = createBackend(BackendKind::Serial, 1);
   std::unique_ptr<SolverT> Ref;
   TelemetryDigest RefTelem =
@@ -123,12 +125,10 @@ void checkMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
 
   for (BackendKind Kind : kParallelKinds)
     for (unsigned Workers : kWorkerCounts) {
-      auto Exec =
-          createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
+      auto Exec = createBackend(Kind, Workers, Dealing);
       ASSERT_NE(Exec, nullptr);
       std::string Label = std::string(Exec->name()) + "(" +
-                          std::to_string(Workers) + ") tile=" +
-                          TileCfg.str();
+                          std::to_string(Workers) + ") " + Dealing.str();
       std::unique_ptr<SolverT> S;
       TelemetryDigest Telem =
           runInstrumented<SolverT>(Prob, Scheme, *Exec, Steps, S);
@@ -136,6 +136,34 @@ void checkMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
       EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
       expectSameTelemetry(RefTelem, Telem, Label);
     }
+}
+
+/// Tiles per step graph, recovered from the "runtime.tasks" counter of a
+/// DAG run: a step graph over K tiles and S stages has K snapshot, S
+/// boundary, S*Dim*K flux, S*K update, K GetDT-partial nodes and one
+/// merge node.  Zero when the counter is missing or does not fit.
+template <unsigned Dim>
+size_t dagTilesPerStep(const TelemetryDigest &D, size_t Stages,
+                       unsigned Steps) {
+  for (const auto &[Name, Total] : D.Counters) {
+    if (Name != "runtime.tasks" || Steps == 0 || Total % Steps != 0)
+      continue;
+    size_t PerStep = Total / Steps;
+    size_t PerTile = 2 + Stages * (Dim + 1);
+    if (PerStep < Stages + 1 || (PerStep - Stages - 1) % PerTile != 0)
+      return 0;
+    return (PerStep - Stages - 1) / PerTile;
+  }
+  return 0;
+}
+
+/// The DAG rows exist to test cross-tile pipelining, which a one-tile
+/// graph cannot exercise: every DAG run must have used at least 4 tiles.
+template <unsigned Dim>
+void expectPipelinedDag(const TelemetryDigest &D, const SchemeConfig &Scheme,
+                        unsigned Steps, const std::string &Label) {
+  size_t Stages = sspStages(Scheme.Integrator).size();
+  EXPECT_GE(dagTilesPerStep<Dim>(D, Stages, Steps), 4u) << Label;
 }
 
 /// Like runInstrumented, but flips the fused engine into the dependency-
@@ -157,7 +185,7 @@ TelemetryDigest runDagInstrumented(const Problem<Dim> &Prob,
 }
 
 /// DAG step mode across worker counts: fields, time and every gauge
-/// series must match the untiled serial loops reference bitwise (the
+/// series must match the serial loops reference bitwise (the
 /// gauges cover dt, the GetDT max eigenvalue and the conserved totals, so
 /// this pins the overlapped/cached reduction too).  Counters legitimately
 /// differ from loops mode (the dag has its own region/task accounting),
@@ -165,7 +193,7 @@ TelemetryDigest runDagInstrumented(const Problem<Dim> &Prob,
 /// counts within the mode.
 template <unsigned Dim>
 void checkDagMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
-                    unsigned Steps, const Tile &TileCfg = Tile::off()) {
+                    unsigned Steps) {
   auto RefExec = createBackend(BackendKind::Serial, 1);
   std::unique_ptr<FusedSolver<Dim>> Ref;
   TelemetryDigest RefTelem =
@@ -174,15 +202,14 @@ void checkDagMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
 
   std::optional<TelemetryDigest> OneWorker;
   for (unsigned Workers : kWorkerCounts) {
-    auto Exec = createBackend(BackendKind::Tasks, Workers,
-                              Schedule::staticBlock(), TileCfg);
+    auto Exec = createBackend(BackendKind::Tasks, Workers);
     ASSERT_NE(Exec, nullptr);
-    std::string Label = "tasks/dag(" + std::to_string(Workers) +
-                        ") tile=" + TileCfg.str();
+    std::string Label = "tasks/dag(" + std::to_string(Workers) + ")";
     std::unique_ptr<FusedSolver<Dim>> S;
     TelemetryDigest Telem =
         runDagInstrumented<Dim>(Prob, Scheme, *Exec, Steps, S);
     EXPECT_TRUE(S->dagStepping()) << Label;
+    expectPipelinedDag<Dim>(Telem, Scheme, Steps, Label);
     EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
     EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
     expectSameGauges(RefTelem, Telem, Label);
@@ -213,7 +240,8 @@ std::unique_ptr<SolverT> makeSimdSolver(const Problem<Dim> &Prob,
 /// reorganization of the same arithmetic.
 template <typename SolverT, unsigned Dim>
 void checkSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
-                     unsigned Steps, const Tile &TileCfg = Tile::off()) {
+                     unsigned Steps,
+                     const Schedule &Dealing = Schedule::staticBlock()) {
   auto RefExec = createBackend(BackendKind::Serial, 1);
   telemetry::reset();
   telemetry::setGaugeStride(1);
@@ -242,13 +270,11 @@ void checkSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
       for (unsigned Workers : kWorkerCounts)
         Arms.emplace_back(Kind, Workers);
     for (auto [Kind, Workers] : Arms) {
-      auto Exec =
-          createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
+      auto Exec = createBackend(Kind, Workers, Dealing);
       ASSERT_NE(Exec, nullptr);
       std::string Label = std::string(Exec->name()) + "(" +
                           std::to_string(Workers) + ")" +
-                          (Simd ? " simd" : " scalar") +
-                          " tile=" + TileCfg.str();
+                          (Simd ? " simd " : " scalar ") + Dealing.str();
       telemetry::reset();
       telemetry::setGaugeStride(1);
       telemetry::setEnabled(true);
@@ -269,7 +295,7 @@ void checkSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
 /// reference.
 template <unsigned Dim>
 void checkDagSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
-                        unsigned Steps, const Tile &TileCfg = Tile::off()) {
+                        unsigned Steps) {
   auto RefExec = createBackend(BackendKind::Serial, 1);
   std::unique_ptr<FusedSolver<Dim>> Ref =
       makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *RefExec, false);
@@ -284,14 +310,18 @@ void checkDagSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
 
   for (bool Simd : {false, true})
     for (unsigned Workers : kWorkerCounts) {
-      auto Exec = createBackend(BackendKind::Tasks, Workers,
-                                Schedule::staticBlock(), TileCfg);
+      auto Exec = createBackend(BackendKind::Tasks, Workers);
       ASSERT_NE(Exec, nullptr);
       std::string Label = "tasks/dag(" + std::to_string(Workers) + ")" +
                           (Simd ? " simd" : " scalar");
+      telemetry::reset();
+      telemetry::setEnabled(true);
       auto S = makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *Exec, Simd);
       EXPECT_TRUE(S->enableDagStepping()) << Label;
       S->advanceSteps(Steps);
+      TelemetryDigest Telem = digest(telemetry::snapshot());
+      telemetry::setEnabled(false);
+      expectPipelinedDag<Dim>(Telem, Scheme, Steps, Label);
       EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
       EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
     }
@@ -334,41 +364,52 @@ TEST_F(DeterminismTest, FigureSchemeInteraction2DArraySolver) {
                               SchemeConfig::figureScheme(), 5);
 }
 
+// The Tiled* rows deal the lines of every loop nest in fixed chunks
+// (odd-sized, so chunk seams fall at uneven offsets) or dynamically
+// instead of one block per worker; they keep the names they had when a
+// loop nest could also be dealt as 2D tiles.
+constexpr size_t kSeamChunk = 5;
+
 TEST_F(DeterminismTest, TiledInteraction2DArraySolver) {
-  // Tiled parallel execution vs the untiled serial reference: the 2D
+  // Chunked parallel execution vs the one-block serial reference: the 2D
   // runtime must be a pure reordering of the same arithmetic.
   checkMatrix<ArraySolver<2>>(shockInteraction2D(24, 2.2, 12.0),
                               SchemeConfig::benchmarkScheme(), 6,
-                              Tile::sized(5, 7));
+                              Schedule::staticChunk(kSeamChunk));
 }
 
 TEST_F(DeterminismTest, TiledInteraction2DFusedSolver) {
   checkMatrix<FusedSolver<2>>(shockInteraction2D(24, 2.2, 12.0),
                               SchemeConfig::benchmarkScheme(), 6,
-                              Tile::sized(5, 7));
+                              Schedule::staticChunk(kSeamChunk));
 }
 
 TEST_F(DeterminismTest, DagSod1DFusedSolver) {
-  checkDagMatrix<1>(sodProblem(128), SchemeConfig::benchmarkScheme(), 20);
+  // The DAG rows run grids that the fixed 32 x 128 DAG tiles split at
+  // least four ways (the expectPipelinedDag check): 400 cells = 4 tiles.
+  checkDagMatrix<1>(sodProblem(400), SchemeConfig::benchmarkScheme(), 20);
 }
 
 TEST_F(DeterminismTest, DagInteraction2DFusedSolver) {
-  checkDagMatrix<2>(shockInteraction2D(24, 2.2, 12.0),
+  // 136^2: 5 x 2 tiles.
+  checkDagMatrix<2>(shockInteraction2D(136, 2.2, 68.0),
                     SchemeConfig::benchmarkScheme(), 6);
 }
 
 TEST_F(DeterminismTest, DagFigureSchemeInteraction2DFusedSolver) {
   // Wider stencils + limiter under the DAG pipeline: the stencil-reach
   // dependency edges must cover the second-order reconstruction too.
-  checkDagMatrix<2>(shockInteraction2D(20, 2.2, 10.0),
+  checkDagMatrix<2>(shockInteraction2D(136, 2.2, 68.0),
                     SchemeConfig::figureScheme(), 5);
 }
 
 TEST_F(DeterminismTest, DagTiledInteraction2DFusedSolver) {
-  // Odd tile sizes put tile seams inside the stencil reach in both axes;
-  // steal order then genuinely interleaves cross-tile chains.
-  checkDagMatrix<2>(shockInteraction2D(24, 2.2, 12.0),
-                    SchemeConfig::benchmarkScheme(), 6, Tile::sized(5, 7));
+  // 130 cells leave clipped edge tiles two cells wide in both axes
+  // (32+32+32+32+2 rows, 128+2 columns): those seams sit inside the
+  // stencil reach of the neighbouring tile, so steal order genuinely
+  // interleaves cross-tile chains.
+  checkDagMatrix<2>(shockInteraction2D(130, 2.2, 65.0),
+                    SchemeConfig::benchmarkScheme(), 6);
 }
 
 namespace {
@@ -395,11 +436,11 @@ TEST_F(DeterminismTest, Sedov2DFusedSolver) {
 
 TEST_F(DeterminismTest, TiledSedov2DFusedSolver) {
   checkMatrix<FusedSolver<2>>(sedovBlast2D(24), sedovScheme(), 5,
-                              Tile::sized(5, 7));
+                              Schedule::staticChunk(kSeamChunk));
 }
 
 TEST_F(DeterminismTest, DagSedov2DFusedSolver) {
-  checkDagMatrix<2>(sedovBlast2D(24), sedovScheme(), 5);
+  checkDagMatrix<2>(sedovBlast2D(136), sedovScheme(), 5);
 }
 
 TEST_F(DeterminismTest, Riemann2DConfig3ArraySolver) {
@@ -417,11 +458,11 @@ TEST_F(DeterminismTest, Riemann2DConfig3FusedSolver) {
 TEST_F(DeterminismTest, TiledRiemann2DConfig3ArraySolver) {
   checkMatrix<ArraySolver<2>>(riemann2D(24, 2, 3),
                               SchemeConfig::figureScheme(), 5,
-                              Tile::sized(5, 7));
+                              Schedule::staticChunk(kSeamChunk));
 }
 
 TEST_F(DeterminismTest, DagRiemann2DConfig3FusedSolver) {
-  checkDagMatrix<2>(riemann2D(24, 2, 3), SchemeConfig::figureScheme(), 5);
+  checkDagMatrix<2>(riemann2D(136, 2, 3), SchemeConfig::figureScheme(), 5);
 }
 
 TEST_F(DeterminismTest, LayoutSimdSod1DArraySolver) {
@@ -465,26 +506,28 @@ TEST_F(DeterminismTest, LayoutSimdFigureSchemeInteraction2DArraySolver) {
 }
 
 TEST_F(DeterminismTest, LayoutSimdTiledInteraction2DArraySolver) {
-  // Odd tiles put kernel-run seams mid-row: sub-range faces are
-  // recomputed, never communicated, so seams cannot shift bits.
+  // Chunk seams between kernel runs: sub-range faces are recomputed,
+  // never communicated, so seams cannot shift bits.
   checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5),
-                                        SchemeConfig::benchmarkScheme(), 4,
-                                        Tile::sized(5, 7));
+                                  SchemeConfig::benchmarkScheme(), 4,
+                                  Schedule::staticChunk(kSeamChunk));
 }
 
 TEST_F(DeterminismTest, LayoutSimdTiledInteraction2DFusedSolver) {
   checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
-                                        SchemeConfig::benchmarkScheme(), 4,
-                                        Tile::sized(5, 7));
+                                  SchemeConfig::benchmarkScheme(), 4,
+                                  Schedule::staticChunk(kSeamChunk));
 }
 
 TEST_F(DeterminismTest, LayoutSimdDagSod1DFusedSolver) {
-  checkDagSimdMatrix<1>(sodProblem(67),
+  // 451 = 3 x 128 + 67: an odd-sized last tile runs a ragged tail.
+  checkDagSimdMatrix<1>(sodProblem(451),
                               SchemeConfig::benchmarkScheme(), 12);
 }
 
 TEST_F(DeterminismTest, LayoutSimdDagInteraction2DFusedSolver) {
-  checkDagSimdMatrix<2>(shockInteraction2D(19, 2.2, 9.5),
+  // 147 = 4 x 32 + 19 = 128 + 19: odd-sized edge tiles in both axes.
+  checkDagSimdMatrix<2>(shockInteraction2D(147, 2.2, 73.5),
                               SchemeConfig::benchmarkScheme(), 4);
 }
 
@@ -494,16 +537,16 @@ TEST_F(DeterminismTest, SimdFigureSchemeInteraction2DFusedSolver) {
 }
 
 TEST_F(DeterminismTest, SimdTiledFigureSchemeInteraction2DFusedSolver) {
-  // Odd tiles put reconstruction-row seams mid-row in both sweeps: the
+  // Chunk seams between the reconstruction lines of both sweeps: the
   // seam faces are reconstructed again from the same stencils.
   checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
                                   SchemeConfig::figureScheme(), 4,
-                                  Tile::sized(5, 7));
+                                  Schedule::staticChunk(kSeamChunk));
 }
 
 TEST_F(DeterminismTest, SimdDagFigureSchemeInteraction2DFusedSolver) {
-  checkDagSimdMatrix<2>(shockInteraction2D(19, 2.2, 9.5),
-                        SchemeConfig::figureScheme(), 4, Tile::sized(5, 7));
+  checkDagSimdMatrix<2>(shockInteraction2D(147, 2.2, 73.5),
+                        SchemeConfig::figureScheme(), 4);
 }
 
 namespace {
@@ -545,13 +588,12 @@ TEST_F(DeterminismTest, SimdSchemeMenuInteraction2DFusedSolver) {
 }
 
 TEST_F(DeterminismTest, TiledDynamicDealingInteraction2DArraySolver) {
-  // Dynamic tile dealing changes which worker runs which tile run to
-  // run; per-tile reduction partials merged in tile order must make the
-  // result identical anyway.
-  Tile T = Tile::sized(4, 8);
-  T.Dealing = Schedule::dynamic(1);
+  // Dynamic dealing changes which worker runs which lines run to run;
+  // reduction partials keyed by static blocks must make the result
+  // identical anyway.
   checkMatrix<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
-                              SchemeConfig::figureScheme(), 5, T);
+                              SchemeConfig::figureScheme(), 5,
+                              Schedule::dynamic(1));
 }
 
 TEST_F(DeterminismTest, ShardedInteraction2D) {

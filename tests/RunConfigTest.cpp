@@ -3,11 +3,12 @@
 // RunConfig is the single flag surface every tool shares; these tests pin
 // the contract: staged strings resolve into typed fields, malformed
 // values produce structured errors naming the flag (never a silent
-// default), and makeBackend() installs threads/schedule/tile on the
-// backend it builds.
+// default), and makeBackend() installs threads/schedule on the backend
+// it builds.
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/ForkJoinBackend.h"
 #include "runtime/SerialBackend.h"
 #include "solver/Problems.h"
 #include "solver/RunConfig.h"
@@ -52,7 +53,6 @@ TEST(RunConfigResolve, DefaultsResolveClean) {
   EXPECT_TRUE(parseAndResolve(Cfg, {}, &Error)) << Error;
   EXPECT_EQ(Cfg.Engine, EngineKind::Array);
   EXPECT_EQ(Cfg.Backend, BackendKind::SpinPool);
-  EXPECT_FALSE(Cfg.TileCfg.Enabled);
   EXPECT_EQ(Cfg.Sched.K, Schedule::Kind::StaticBlock);
 }
 
@@ -64,8 +64,7 @@ TEST(RunConfigResolve, ParsesEveryFlagGroup) {
       {"--recon", "tvd2", "--limiter", "superbee", "--riemann", "hll",
        "--integrator", "rk2", "--cfl", "0.5", "--engine", "fused",
        "--backend", "fork-join", "--threads", "3", "--schedule",
-       "dynamic,4", "--tile", "16x64", "--tile-dealing", "static,2",
-       "--guard", "--guard-every", "4", "--telemetry", "out.json"},
+       "dynamic,4", "--guard", "--guard-every", "4", "--telemetry", "out.json"},
       &Error))
       << Error;
   EXPECT_EQ(Cfg.Scheme.Recon, ReconstructionKind::Tvd2);
@@ -78,15 +77,10 @@ TEST(RunConfigResolve, ParsesEveryFlagGroup) {
   EXPECT_EQ(Cfg.Threads, 3u);
   EXPECT_EQ(Cfg.Sched.K, Schedule::Kind::Dynamic);
   EXPECT_EQ(Cfg.Sched.ChunkSize, 4u);
-  EXPECT_TRUE(Cfg.TileCfg.Enabled);
-  EXPECT_EQ(Cfg.TileCfg.Rows, 16u);
-  EXPECT_EQ(Cfg.TileCfg.Cols, 64u);
-  EXPECT_EQ(Cfg.TileCfg.Dealing.K, Schedule::Kind::StaticChunk);
-  EXPECT_EQ(Cfg.TileCfg.Dealing.ChunkSize, 2u);
   EXPECT_TRUE(Cfg.Guard.Enabled);
   EXPECT_EQ(Cfg.Guard.Every, 4u);
   EXPECT_EQ(Cfg.Telemetry.Path, "out.json");
-  EXPECT_EQ(Cfg.executionStr(), "fused/fork-join(3) tile=16x64");
+  EXPECT_EQ(Cfg.executionStr(), "fused/fork-join(3)");
 }
 
 TEST(RunConfigResolve, ParsesLayoutAndSimdFlags) {
@@ -186,13 +180,9 @@ TEST(RunConfigResolve, RejectsBadValuesWithStructuredErrors) {
       {{"--integrator", "rk4"}, "--integrator"},
       {{"--engine", "fortran"}, "--engine"},
       {{"--backend", "gpu"}, "--backend"},
-      {{"--execution", "gpu"}, "--execution"},
       {{"--step-mode", "pipeline"}, "--step-mode"},
       {{"--schedule", "guided"}, "--schedule"},
       {{"--schedule", "static,0"}, "--schedule"},
-      {{"--tile", "0x4"}, "--tile"},
-      {{"--tile", "huge"}, "--tile"},
-      {{"--tile-dealing", "guided"}, "--tile-dealing"},
       {{"--scenario", "sod:"}, "--scenario"},
       {{"--scenario", "no-such-workload"}, "--scenario"},
       {{"--scenario", "sod:mach=3"}, "--scenario"},
@@ -245,19 +235,24 @@ TEST(RunConfigResolve, RejectsUnparseableUnsignedAtTheCliLayer) {
   }
 }
 
-TEST(RunConfigResolve, ExecutionAliasSelectsTheBackend) {
-  RunConfig Cfg;
-  std::string Error;
-  ASSERT_TRUE(parseAndResolve(Cfg, {"--execution", "tasks"}, &Error))
-      << Error;
-  EXPECT_EQ(Cfg.Backend, BackendKind::Tasks);
-
-  // When both are given, the alias wins.
-  RunConfig Both;
-  ASSERT_TRUE(parseAndResolve(
-      Both, {"--backend", "serial", "--execution", "fork-join"}, &Error))
-      << Error;
-  EXPECT_EQ(Both.Backend, BackendKind::ForkJoin);
+TEST(RunConfigResolve, RejectsDeletedFlagsAsUnknownOptions) {
+  // Tiling, the unpooled mode and the --backend alias are gone; each of
+  // their flags is an unknown option like any other.
+  const std::vector<std::vector<const char *>> Deleted = {
+      {"--tile", "8x8"},
+      {"--tile-dealing", "dynamic"},
+      {"--no-pool"},
+      {"--execution", "tasks"},
+  };
+  for (const std::vector<const char *> &Args : Deleted) {
+    RunConfig Cfg;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(parseAndResolve(Cfg, Args)) << Args[0];
+    std::string Err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(Err.find(std::string("unknown option '") + Args[0] + "'"),
+              std::string::npos)
+        << Err;
+  }
 }
 
 TEST(RunConfigResolve, StepModeParsesAndShowsInExecutionStr) {
@@ -292,32 +287,21 @@ TEST(RunConfigResolve, DagStepModeValidatesBackendAndEngine) {
   EXPECT_NE(Error.find("--engine=fused"), std::string::npos) << Error;
 }
 
-TEST(RunConfigResolve, TileDealingSurvivesTileRespec) {
-  // --tile re-parses the tile geometry but must not clobber a dealing
-  // schedule given through --tile-dealing, in either flag order.
-  RunConfig Cfg;
-  std::string Error;
-  ASSERT_TRUE(parseAndResolve(
-      Cfg, {"--tile-dealing", "dynamic,2", "--tile", "8x8"}, &Error))
-      << Error;
-  EXPECT_EQ(Cfg.TileCfg.Dealing.K, Schedule::Kind::Dynamic);
-  EXPECT_EQ(Cfg.TileCfg.Dealing.ChunkSize, 2u);
-}
-
-TEST(RunConfigBackend, InstallsThreadsScheduleAndTile) {
+TEST(RunConfigBackend, InstallsThreadsAndSchedule) {
   RunConfig Cfg;
   std::string Error;
   ASSERT_TRUE(parseAndResolve(Cfg,
                               {"--backend", "fork-join", "--threads", "2",
-                               "--tile", "8x32"},
+                               "--schedule", "dynamic,3"},
                               &Error))
       << Error;
   auto B = Cfg.makeBackend();
   ASSERT_NE(B, nullptr);
   EXPECT_EQ(B->workerCount(), 2u);
-  EXPECT_TRUE(B->tile().Enabled);
-  EXPECT_EQ(B->tile().Rows, 8u);
-  EXPECT_EQ(B->tile().Cols, 32u);
+  auto *FJ = dynamic_cast<ForkJoinBackend *>(B.get());
+  ASSERT_NE(FJ, nullptr);
+  EXPECT_EQ(FJ->schedule().K, Schedule::Kind::Dynamic);
+  EXPECT_EQ(FJ->schedule().ChunkSize, 3u);
 }
 
 TEST(SolverFactory, BuildsEachEngine) {

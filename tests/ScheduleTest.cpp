@@ -157,40 +157,6 @@ TEST(ScheduleParseSpec, ReportsStructuredErrors) {
   EXPECT_EQ(Ok.Value->K, Schedule::Kind::Dynamic);
 }
 
-TEST(TileParseSpec, AcceptsTheGrammar) {
-  Tile Off = Tile::parseSpec("off").Value.value();
-  EXPECT_FALSE(Off.Enabled);
-  EXPECT_FALSE(Tile::parseSpec("none").Value.value().Enabled);
-
-  Tile Auto = Tile::parseSpec("auto").Value.value();
-  EXPECT_TRUE(Auto.Enabled);
-  EXPECT_EQ(Auto.Rows, 0u);
-  EXPECT_EQ(Auto.Cols, 0u);
-  EXPECT_TRUE(Tile::parseSpec("on").Value.value().Enabled);
-
-  Tile Square = Tile::parseSpec("16").Value.value();
-  EXPECT_TRUE(Square.Enabled);
-  EXPECT_EQ(Square.Rows, 16u);
-  EXPECT_EQ(Square.Cols, 16u);
-
-  Tile Rect = Tile::parseSpec(" 32x128 ").Value.value();
-  EXPECT_TRUE(Rect.Enabled);
-  EXPECT_EQ(Rect.Rows, 32u);
-  EXPECT_EQ(Rect.Cols, 128u);
-  EXPECT_EQ(Rect.str(), "32x128");
-  EXPECT_EQ(Tile::off().str(), "off");
-  EXPECT_EQ(Tile::automatic().str(), "auto");
-}
-
-TEST(TileParseSpec, RejectsMalformedSpecsWithStructuredErrors) {
-  for (const char *Bad : {"", "0x4", "4x0", "4x", "x4", "axb", "-3",
-                          "0", "3.5", "4x4x4"}) {
-    SpecParse<Tile> P = Tile::parseSpec(Bad);
-    EXPECT_FALSE(P) << "'" << Bad << "' should be rejected";
-    EXPECT_FALSE(P.Error.empty()) << "'" << Bad << "'";
-  }
-}
-
 namespace {
 
 /// Checks the decomposition covers every (row, col) cell exactly once.
@@ -213,31 +179,16 @@ void expectExactTileCover(const TileGrid &G) {
 } // namespace
 
 TEST(TileGridTest, TilesTheSpaceExactly) {
-  expectExactTileCover(TileGrid(100, 100, Tile::sized(32, 128)));
-  expectExactTileCover(TileGrid(7, 3, Tile::sized(2, 2)));
-  expectExactTileCover(TileGrid(64, 256, Tile::sized(32, 128)));
-  expectExactTileCover(TileGrid(1, 1, Tile::automatic()));
-  expectExactTileCover(TileGrid(33, 129, Tile::automatic()));
-}
-
-TEST(TileGridTest, ResolvesAutomaticAndClampsToExtents) {
-  TileGrid Auto(1000, 1000, Tile::automatic());
-  EXPECT_EQ(Auto.tileRows(), TileGrid::DefaultTileRows);
-  EXPECT_EQ(Auto.tileCols(), TileGrid::DefaultTileCols);
-
-  // Requested tiles larger than the space clamp to one tile.
-  TileGrid Clamped(10, 20, Tile::sized(64, 64));
-  EXPECT_EQ(Clamped.tileRows(), 10u);
-  EXPECT_EQ(Clamped.tileCols(), 20u);
-  EXPECT_EQ(Clamped.count(), 1u);
-
-  TileGrid Empty(0, 50, Tile::automatic());
-  EXPECT_EQ(Empty.count(), 0u);
+  expectExactTileCover(TileGrid(100, 100, 32, 128));
+  expectExactTileCover(TileGrid(7, 3, 2, 2));
+  expectExactTileCover(TileGrid(64, 256, 32, 128));
+  expectExactTileCover(TileGrid(1, 1, 32, 128));
+  expectExactTileCover(TileGrid(33, 129, 32, 128));
 }
 
 TEST(TileGridTest, TileNumberingIsRowMajorAndWorkerIndependent) {
   // 5x7 space, 2x3 tiles: 3 tile rows x 3 tile cols, numbered row-major.
-  TileGrid G(5, 7, Tile::sized(2, 3));
+  TileGrid G(5, 7, 2, 3);
   ASSERT_EQ(G.rowTiles(), 3u);
   ASSERT_EQ(G.colTiles(), 3u);
   ASSERT_EQ(G.count(), 9u);
