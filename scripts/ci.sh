@@ -147,8 +147,10 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined
 cmake --build build-ci-asan -j "$JOBS" \
-    --target KernelsTest ScenarioRegressionTest DeterminismTest AllocationTest
-for T in KernelsTest ScenarioRegressionTest DeterminismTest AllocationTest; do
+    --target KernelsTest ScenarioRegressionTest DeterminismTest AllocationTest \
+    FieldPoolTest CheckpointTest
+for T in KernelsTest ScenarioRegressionTest DeterminismTest AllocationTest \
+    FieldPoolTest CheckpointTest; do
   ASAN_OPTIONS=detect_leaks=0 "./build-ci-asan/tests/$T"
 done
 echo "== CI matrix passed =="

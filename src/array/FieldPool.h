@@ -22,6 +22,10 @@
 ///   acquireUninit  contents unspecified; for buffers every element of
 ///                  which is overwritten before being read (with-loop
 ///                  results, snapshots).  This is the no-memset fast path.
+///                  Builds without NDEBUG fill every such buffer with an
+///                  all-ones byte pattern (a NaN in every double), so a
+///                  stage that reads one before writing it poisons the
+///                  field in every Debug test.
 ///
 /// Leases are RAII: destroying (or move-assigning over) a Lease returns
 /// the buffer to the pool's free list.  The pool must outlive its leases;
@@ -48,8 +52,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -141,14 +147,18 @@ public:
   /// is kFieldAlign-aligned (NDArray's CountingAllocator), so alignment
   /// needs no key of its own.
   template <typename T> Lease<T> acquire(const Shape &S) {
-    return acquireImpl<T>(S, /*Recycled=*/nullptr);
+    return acquireImpl<T>(S, /*Zero=*/true);
   }
 
   /// Leases a buffer of shape \p S with unspecified contents.  Only for
   /// buffers that are fully overwritten before being read.
   template <typename T> Lease<T> acquireUninit(const Shape &S) {
-    bool Recycled = false;
-    return acquireImpl<T>(S, &Recycled);
+    Lease<T> L = acquireImpl<T>(S, /*Zero=*/false);
+#ifndef NDEBUG
+    static_assert(std::is_trivially_copyable_v<T>, "byte-pattern poison");
+    std::memset(static_cast<void *>(L->data()), 0xFF, L->size() * sizeof(T));
+#endif
+    return L;
   }
 
   /// Accepts the Layout tag (see array/Layout.h) and stores nothing.
@@ -193,11 +203,9 @@ private:
     return static_cast<SubPool<T> &>(*Subs[Id]);
   }
 
-  /// \p Recycled distinguishes the modes: null means value-init (re-zero
-  /// a recycled buffer); non-null means uninit (leave contents) and
-  /// receives whether the buffer came off a free list.
-  template <typename T>
-  Lease<T> acquireImpl(const Shape &S, bool *Recycled) {
+  /// \p Zero re-zeroes a recycled buffer (value-init mode); otherwise
+  /// its contents are left as they are.
+  template <typename T> Lease<T> acquireImpl(const Shape &S, bool Zero) {
     std::unique_ptr<NDArray<T>> Buf;
     {
       std::lock_guard<std::mutex> Lock(M);
@@ -214,9 +222,7 @@ private:
       ++St.LiveLeases;
     }
     if (Buf) {
-      if (Recycled)
-        *Recycled = true;
-      else
+      if (Zero)
         Buf->fill(T());
       return Lease<T>(this, std::move(Buf));
     }

@@ -408,26 +408,17 @@ template CheckpointStatus sacfd::saveCheckpoint<1>(const std::string &,
                                                    const EulerSolver<1> &);
 template CheckpointStatus sacfd::saveCheckpoint<2>(const std::string &,
                                                    const EulerSolver<2> &);
-template CheckpointStatus sacfd::saveCheckpoint<3>(const std::string &,
-                                                   const EulerSolver<3> &);
 template CheckpointStatus
 sacfd::saveCheckpointWithRetry<1>(const std::string &, const EulerSolver<1> &,
                                   const RetryPolicy &);
 template CheckpointStatus
 sacfd::saveCheckpointWithRetry<2>(const std::string &, const EulerSolver<2> &,
                                   const RetryPolicy &);
-template CheckpointStatus
-sacfd::saveCheckpointWithRetry<3>(const std::string &, const EulerSolver<3> &,
-                                  const RetryPolicy &);
 template CheckpointStatus sacfd::loadCheckpoint<1>(const std::string &,
                                                    EulerSolver<1> &);
 template CheckpointStatus sacfd::loadCheckpoint<2>(const std::string &,
                                                    EulerSolver<2> &);
-template CheckpointStatus sacfd::loadCheckpoint<3>(const std::string &,
-                                                   EulerSolver<3> &);
 template CheckpointStatus
 sacfd::saveCheckpointLegacyV1<1>(const std::string &, const EulerSolver<1> &);
 template CheckpointStatus
 sacfd::saveCheckpointLegacyV1<2>(const std::string &, const EulerSolver<2> &);
-template CheckpointStatus
-sacfd::saveCheckpointLegacyV1<3>(const std::string &, const EulerSolver<3> &);

@@ -126,29 +126,20 @@ extern template CheckpointStatus saveCheckpoint<1>(const std::string &,
                                                    const EulerSolver<1> &);
 extern template CheckpointStatus saveCheckpoint<2>(const std::string &,
                                                    const EulerSolver<2> &);
-extern template CheckpointStatus saveCheckpoint<3>(const std::string &,
-                                                   const EulerSolver<3> &);
 extern template CheckpointStatus
 saveCheckpointWithRetry<1>(const std::string &, const EulerSolver<1> &,
                            const RetryPolicy &);
 extern template CheckpointStatus
 saveCheckpointWithRetry<2>(const std::string &, const EulerSolver<2> &,
                            const RetryPolicy &);
-extern template CheckpointStatus
-saveCheckpointWithRetry<3>(const std::string &, const EulerSolver<3> &,
-                           const RetryPolicy &);
 extern template CheckpointStatus loadCheckpoint<1>(const std::string &,
                                                    EulerSolver<1> &);
 extern template CheckpointStatus loadCheckpoint<2>(const std::string &,
                                                    EulerSolver<2> &);
-extern template CheckpointStatus loadCheckpoint<3>(const std::string &,
-                                                   EulerSolver<3> &);
 extern template CheckpointStatus
 saveCheckpointLegacyV1<1>(const std::string &, const EulerSolver<1> &);
 extern template CheckpointStatus
 saveCheckpointLegacyV1<2>(const std::string &, const EulerSolver<2> &);
-extern template CheckpointStatus
-saveCheckpointLegacyV1<3>(const std::string &, const EulerSolver<3> &);
 
 } // namespace sacfd
 

@@ -216,10 +216,7 @@ CheckpointStore::ResumeOutcome CheckpointStore::resume(EulerSolver<Dim> &S) {
 
 template CheckpointStatus CheckpointStore::write<1>(const EulerSolver<1> &);
 template CheckpointStatus CheckpointStore::write<2>(const EulerSolver<2> &);
-template CheckpointStatus CheckpointStore::write<3>(const EulerSolver<3> &);
 template CheckpointStore::ResumeOutcome
 CheckpointStore::resume<1>(EulerSolver<1> &);
 template CheckpointStore::ResumeOutcome
 CheckpointStore::resume<2>(EulerSolver<2> &);
-template CheckpointStore::ResumeOutcome
-CheckpointStore::resume<3>(EulerSolver<3> &);

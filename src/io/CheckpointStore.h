@@ -109,14 +109,10 @@ extern template CheckpointStatus
 CheckpointStore::write<1>(const EulerSolver<1> &);
 extern template CheckpointStatus
 CheckpointStore::write<2>(const EulerSolver<2> &);
-extern template CheckpointStatus
-CheckpointStore::write<3>(const EulerSolver<3> &);
 extern template CheckpointStore::ResumeOutcome
 CheckpointStore::resume<1>(EulerSolver<1> &);
 extern template CheckpointStore::ResumeOutcome
 CheckpointStore::resume<2>(EulerSolver<2> &);
-extern template CheckpointStore::ResumeOutcome
-CheckpointStore::resume<3>(EulerSolver<3> &);
 
 } // namespace sacfd
 

@@ -115,7 +115,7 @@ bool simdAccelerated();
 // Per-TU implementations.  scalarimpl is compiled with vectorization
 // disabled; simdimpl with the host ISA and contraction off.  Both are
 // defined out-of-line (KernelsScalar.cpp / KernelsSimd.cpp) with
-// explicit instantiations for Dim = 1, 2, 3.
+// explicit instantiations for Dim = 1, 2.
 #define SACFD_KERNELS_DECLARE                                                  \
   template <unsigned Dim>                                                      \
   void copyState(const ConstRun<Dim> &Src, const Run<Dim> &Dst, size_t N);     \

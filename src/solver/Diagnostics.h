@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Conserved-quantity integrals, total variation, positivity and error
-/// norms — the quantities the test suite and EXPERIMENTS.md report.
+/// Total variation, positivity and error norms — with
+/// EulerSolver::conservedTotals, the quantities the test suite and
+/// EXPERIMENTS.md report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,45 +18,9 @@
 #include "euler/ExactRiemann.h"
 #include "solver/EulerSolver.h"
 
-#include <array>
 #include <cmath>
 
 namespace sacfd {
-
-/// Domain integrals of the conserved variables (the conservation laws'
-/// invariants on closed/periodic domains).
-template <unsigned Dim> struct ConservedTotals {
-  double Mass = 0.0;
-  std::array<double, Dim> Momentum = {};
-  double Energy = 0.0;
-};
-
-/// Integrates Q over the interior (sum times cell volume), serially for
-/// exact reproducibility.
-template <unsigned Dim>
-ConservedTotals<Dim> conservedTotals(const EulerSolver<Dim> &Solver) {
-  const Grid<Dim> &G = Solver.problem().Domain;
-  double Volume = 1.0;
-  for (unsigned A = 0; A < Dim; ++A)
-    Volume *= G.dx(A);
-
-  ConservedTotals<Dim> T;
-  Shape Interior = G.interiorShape();
-  Index Iv = Interior.delinearize(0);
-  do {
-    const Cons<Dim> &Q = Solver.field().at(G.toStorage(Iv));
-    T.Mass += Q.Rho;
-    for (unsigned A = 0; A < Dim; ++A)
-      T.Momentum[A] += Q.Mom[A];
-    T.Energy += Q.E;
-  } while (Interior.increment(Iv));
-
-  T.Mass *= Volume;
-  for (unsigned A = 0; A < Dim; ++A)
-    T.Momentum[A] *= Volume;
-  T.Energy *= Volume;
-  return T;
-}
 
 /// Smallest density/pressure over the interior, and finiteness.
 template <unsigned Dim> struct FieldHealth {
@@ -141,7 +106,9 @@ riemannL1Error(const EulerSolver<1> &Solver, const Prim<1> &L,
 }
 
 /// Maximum absolute field difference between two solvers on the same
-/// grid (engine-equivalence checks).
+/// grid (engine-equivalence checks).  A NaN difference anywhere is
+/// returned as NaN, never absorbed by the max, so two NaN-poisoned
+/// fields do not compare as identical.
 template <unsigned Dim>
 double maxFieldDifference(const EulerSolver<Dim> &A,
                           const EulerSolver<Dim> &B) {
@@ -154,8 +121,12 @@ double maxFieldDifference(const EulerSolver<Dim> &A,
     Index S = G.toStorage(Iv);
     const Cons<Dim> &Qa = A.field().at(S);
     const Cons<Dim> &Qb = B.field().at(S);
-    for (unsigned K = 0; K < NumVars<Dim>; ++K)
-      MaxDiff = std::max(MaxDiff, std::fabs(Qa.comp(K) - Qb.comp(K)));
+    for (unsigned K = 0; K < NumVars<Dim>; ++K) {
+      double D = std::fabs(Qa.comp(K) - Qb.comp(K));
+      if (std::isnan(D))
+        return D;
+      MaxDiff = std::max(MaxDiff, D);
+    }
   } while (Interior.increment(Iv));
   return MaxDiff;
 }

@@ -51,9 +51,21 @@ inline bool stepRemainderNegligible(double Now, double EndTime) {
              std::max(std::abs(Now), 1.0);
 }
 
+/// Domain integrals of the conserved variables (the conservation laws'
+/// invariants on closed/periodic domains).
+template <unsigned Dim> struct ConservedTotals {
+  double Mass = 0.0;
+  std::array<double, Dim> Momentum = {};
+  double Energy = 0.0;
+};
+
 /// Abstract Euler solver: owns the field and the time loop; engines
 /// supply the per-step numerics.
 template <unsigned Dim> class EulerSolver {
+  // The paper's runs are 1D and 2D; the line decomposition and the
+  // kernels are instantiated for those ranks only.
+  static_assert(Dim == 1 || Dim == 2, "solvers are 1D or 2D");
+
 public:
   EulerSolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
               bool Simd = true)
@@ -66,15 +78,13 @@ public:
                        "reconstruction");
     const Grid<Dim> &G = this->Prob.Domain;
     Shape Storage = G.storageShape();
-    for (unsigned A = 0; A < Dim; ++A) {
+    for (unsigned A = 0; A < Dim; ++A)
       N[A] = G.cells(A);
-      StorageDim[A] = Storage.dim(A);
-    }
     // Row-major strides.
     StorageStride[Dim - 1] = 1;
     InteriorStride[Dim - 1] = 1;
     for (unsigned A = Dim - 1; A-- > 0;) {
-      StorageStride[A] = StorageStride[A + 1] * StorageDim[A + 1];
+      StorageStride[A] = StorageStride[A + 1] * Storage.dim(A + 1);
       InteriorStride[A] = InteriorStride[A + 1] * N[A + 1];
     }
     Ng = G.ghost();
@@ -119,6 +129,32 @@ public:
   /// Primitive state of interior cell \p Interior.
   Prim<Dim> primitiveAt(const Index &Interior) const {
     return toPrim(U.at(Prob.Domain.toStorage(Interior)), Prob.G);
+  }
+
+  /// Integrates Q over the interior (sum times cell volume).  One serial
+  /// row-major walk over the SoA planes, so the totals are bit-identical
+  /// across backends and worker counts.
+  ConservedTotals<Dim> conservedTotals() const {
+    constexpr unsigned LineAxis = Dim - 1;
+    ConservedTotals<Dim> T;
+    for (size_t Line = 0, Lines = lineCount(LineAxis); Line != Lines;
+         ++Line) {
+      kernels::ConstRun<Dim> R = U.crun(lineStorageBase(LineAxis, Line));
+      for (size_t I = 0; I != N[LineAxis]; ++I) {
+        T.Mass += R.C[0][I];
+        for (unsigned A = 0; A < Dim; ++A)
+          T.Momentum[A] += R.C[1 + A][I];
+        T.Energy += R.C[Dim + 1][I];
+      }
+    }
+    double Volume = 1.0;
+    for (unsigned A = 0; A < Dim; ++A)
+      Volume *= Prob.Domain.dx(A);
+    T.Mass *= Volume;
+    for (unsigned A = 0; A < Dim; ++A)
+      T.Momentum[A] *= Volume;
+    T.Energy *= Volume;
+    return T;
   }
 
   /// CFL-limited time step of the current field (the GetDT kernel).
@@ -288,9 +324,7 @@ protected:
   /// Feeds the "solver.steps" counter and, at the configured gauge
   /// stride, the per-step gauges: dt, the GetDT max eigenvalue, and the
   /// conserved totals (mass, momentum per axis, energy) whose drift is
-  /// the conservation regression's measurement channel.  The totals are
-  /// a serial interior sum, so the gauge values are bit-identical across
-  /// backends and worker counts.
+  /// the conservation regression's measurement channel.
   void recordStepTelemetry(double Dt) {
     if (!telemetry::enabled())
       return;
@@ -314,27 +348,11 @@ protected:
     telemetry::recordGauge(GaugeDt, Steps, Dt);
     telemetry::recordGauge(GaugeEv, Steps, LastMaxEigen);
 
-    const Grid<Dim> &G = Prob.Domain;
-    double Volume = 1.0;
+    ConservedTotals<Dim> T = conservedTotals();
+    telemetry::recordGauge(GaugeMass, Steps, T.Mass);
     for (unsigned A = 0; A < Dim; ++A)
-      Volume *= G.dx(A);
-    double Mass = 0.0, Energy = 0.0;
-    std::array<double, Dim> Momentum = {};
-    Shape Interior = G.interiorShape();
-    Index Iv = Interior.delinearize(0);
-    if (Interior.count() > 0) {
-      do {
-        const Cons<Dim> Q = U.at(G.toStorage(Iv));
-        Mass += Q.Rho;
-        for (unsigned A = 0; A < Dim; ++A)
-          Momentum[A] += Q.Mom[A];
-        Energy += Q.E;
-      } while (Interior.increment(Iv));
-    }
-    telemetry::recordGauge(GaugeMass, Steps, Mass * Volume);
-    for (unsigned A = 0; A < Dim; ++A)
-      telemetry::recordGauge(GaugeMom[A], Steps, Momentum[A] * Volume);
-    telemetry::recordGauge(GaugeEnergy, Steps, Energy * Volume);
+      telemetry::recordGauge(GaugeMom[A], Steps, T.Momentum[A]);
+    telemetry::recordGauge(GaugeEnergy, Steps, T.Energy);
 
     // Pool stats are a pure function of the step structure (acquisitions
     // happen only on the driving thread), so these gauges stay
@@ -374,7 +392,6 @@ protected:
   bool SimdEnabled = true;
   /// Cached grid geometry for the line decomposition.
   size_t N[Dim] = {};
-  size_t StorageDim[Dim] = {};
   size_t StorageStride[Dim] = {};
   size_t InteriorStride[Dim] = {};
   unsigned Ng = 0;

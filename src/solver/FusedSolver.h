@@ -15,9 +15,10 @@
 ///     core — the left edge of Fig. 4);
 ///   - every loop nest is its own parallel region dispatched through the
 ///     Backend, the way -autopar parallelizes each DO loop independently.
-///     One RK3 time step issues ~27 regions (8 per stage: 4 boundary
+///     One 2D RK3 time step issues 26 regions (8 per stage: 4 boundary
 ///     sides, RHS zeroing, 2 axis sweeps, the update; plus the snapshot
-///     copy and the GetDT reduction); with the fork-join backend each of
+///     copy and the GetDT reduction; the runtime.regions counter reads
+///     26 per step on a traced run); with the fork-join backend each of
 ///     those pays the thread-team setup cost, which is the scaling
 ///     collapse of Fig. 4.
 ///
@@ -25,14 +26,15 @@
 /// RHS zeroing, the SSP update, the GetDT reduction and the face sweeps
 /// (reconstruction, Riemann flux, divergence) run as contiguous line
 /// runs — so the hot loops execute the vectorized kernel build over the
-/// field's SoA planes.  Only the 3D sweeps along axes 0 and 1, whose
-/// sweep lines are strided, keep the per-face stencil gather.
+/// field's SoA planes.  The last-axis sweep runs along its lines; the 2D
+/// axis-0 sweep is restructured into row runs, so no sweep gathers per
+/// face.
 ///
 /// On a TaskBackend the engine additionally offers a dependency-DAG step
 /// mode (enableDagStepping): one step becomes per-tile snapshot, flux and
 /// update tasks linked by exact data dependencies, so a tile can run
 /// stage s+1 while a distant tile is still in stage s — no global
-/// barrier between the ~27 regions.  The GetDT reduction rides along as
+/// barrier between the 26 regions.  The GetDT reduction rides along as
 /// per-tile max-eigenvalue tasks released by each tile's final update,
 /// merged in row-major tile order; the merged value is cached and served
 /// by the next computeDt() call, overlapping GetDT with independent
@@ -71,11 +73,9 @@ public:
   const char *engineName() const override { return "fused"; }
 
   /// Switches stepWithDt to the dependency-DAG pipeline.  Requires the
-  /// backend to support DAG dispatch (Backend::taskBackend) and Dim <= 2.
+  /// backend to support DAG dispatch (Backend::taskBackend).
   /// \returns false (leaving the loop mode active) when unsupported.
   bool enableDagStepping() {
-    if constexpr (Dim > 2)
-      return false;
     DagExec = this->Exec.taskBackend();
     return DagExec != nullptr;
   }
@@ -123,10 +123,8 @@ public:
 protected:
   void stepWithDt(double Dt) override {
     if (DagExec) {
-      if constexpr (Dim <= 2) {
-        stepWithDtDag(Dt);
-        return;
-      }
+      stepWithDtDag(Dt);
+      return;
     }
     static const unsigned SpanSnapshot = telemetry::spanId("solver.snapshot");
     static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
@@ -203,86 +201,21 @@ private:
   /// (DAG) sweeps are bit-identical (sub-range boundary faces are
   /// recomputed, not communicated).
   ///
-  /// Sweeps whose face rows are contiguous in storage run on the kernels
-  /// (the last axis always; a 2D axis-0 sweep restructured into row
-  /// runs); the strided 3D sweeps along axes 0 and 1 gather per face.
+  /// Both sweeps run on the kernels over contiguous face rows: the last
+  /// axis along its lines, the 2D axis-0 sweep restructured into row runs.
   void sweepRange(unsigned Axis, size_t LineBegin, size_t LineEnd,
                   size_t CellBegin, size_t CellEnd) {
     if (Axis == Dim - 1)
       sweepRangeKernelLastAxis(LineBegin, LineEnd, CellBegin, CellEnd);
     else if constexpr (Dim == 2)
       sweepRangeKernelAxis0(LineBegin, LineEnd, CellBegin, CellEnd);
-    else if constexpr (Dim == 3)
-      sweepRangeGather(Axis, LineBegin, LineEnd, CellBegin, CellEnd);
-  }
-
-  /// Per-face stencil-gather form of sweepRange (3D axes 0 and 1).
-  void sweepRangeGather(unsigned Axis, size_t LineBegin, size_t LineEnd,
-                        size_t CellBegin, size_t CellEnd) {
-    const Gas &Gas_ = this->Prob.G;
-    const SchemeConfig &SC = this->Scheme;
-    const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
-    const std::ptrdiff_t AxisStride =
-        static_cast<std::ptrdiff_t>(this->StorageStride[Axis]);
-    const std::ptrdiff_t AxisMax =
-        static_cast<std::ptrdiff_t>(this->StorageDim[Axis]) - 1;
-    const std::ptrdiff_t NgS = static_cast<std::ptrdiff_t>(this->Ng);
-
-    // Faces CellBegin..CellEnd inclusive bound this cell sub-range;
-    // local face f is global face CellBegin + f.  The face-state
-    // scratch is per-worker-thread and grown-only: on persistent
-    // worker pools it is allocated once per thread and then reused
-    // for every region of every step (fork-join teams are transient,
-    // so they re-pay it — part of the per-region cost Fig. 4 is
-    // about).  Every face slot is written before it is read.
-    size_t LocalFaces = (CellEnd - CellBegin) + 1;
-    static thread_local NDArray<Cons<Dim>> FluxScratch;
-    if (FluxScratch.size() < LocalFaces)
-      FluxScratch.reshapeDiscard(Shape{LocalFaces});
-    Cons<Dim> *FluxLine = FluxScratch.data();
-    for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
-      // Base points at interior cell 0; relative cell i sits at
-      // Base + i * AxisStride.
-      size_t Base = this->lineStorageBase(Axis, Line);
-
-      for (size_t F = 0; F < LocalFaces; ++F) {
-        std::array<Cons<Dim>, 6> Stencil;
-        for (unsigned K = 0; K < 6; ++K) {
-          // Window cell K at axis offset f - 3 + K from interior 0,
-          // clamped into storage.  The clamp only moves cells beyond
-          // the scheme's reach (ghostCells), which reconstructFaceStates
-          // projects but no stencil reads.
-          std::ptrdiff_t Off = static_cast<std::ptrdiff_t>(CellBegin + F) +
-                               static_cast<std::ptrdiff_t>(K) - 3;
-          Off = std::clamp<std::ptrdiff_t>(Off, -NgS, AxisMax - NgS);
-          Stencil[K] = this->U.load(static_cast<size_t>(
-              static_cast<std::ptrdiff_t>(Base) + Off * AxisStride));
-        }
-        FaceStates<Dim> FS = reconstructFaceStates(SC.Recon, SC.Limiter,
-                                                   SC.Vars, Stencil, Gas_,
-                                                   Axis);
-        FluxLine[F] = numericalFlux(SC.Riemann, FS.L, FS.R, Gas_, Axis);
-      }
-
-      size_t RBase = this->lineInteriorBase(Axis, Line);
-      std::ptrdiff_t RStride =
-          static_cast<std::ptrdiff_t>(this->InteriorStride[Axis]);
-      for (size_t I = CellBegin; I != CellEnd; ++I) {
-        size_t LocalF = I - CellBegin;
-        size_t RI = static_cast<size_t>(
-            static_cast<std::ptrdiff_t>(RBase) +
-            static_cast<std::ptrdiff_t>(I) * RStride);
-        Res.store(RI, Res.load(RI) -
-                          (FluxLine[LocalF + 1] - FluxLine[LocalF]) * InvDx);
-      }
-    }
   }
 
   /// Kernel form of the last-axis sweep: per line, one faceFluxRow over
   /// the bounding faces (unit-stride SoA scratch, so the SIMD kernels
-  /// apply), then one accumDivergence run into the RHS.  Face values and
-  /// the per-cell accumulation are bit-identical to the gather form — the
-  /// kernels mirror reconstructFaceStates and numericalFlux term for term.
+  /// apply), then one accumDivergence run into the RHS.  The kernels
+  /// mirror reconstructFaceStates and numericalFlux term for term, so the
+  /// face values are the reference's bits.
   void sweepRangeKernelLastAxis(size_t LineBegin, size_t LineEnd,
                                 size_t CellBegin, size_t CellEnd) {
     constexpr unsigned Axis = Dim - 1;
@@ -308,7 +241,7 @@ private:
   /// (lines = columns, cells = rows), so contiguous runs go across the
   /// line range: face row f is computed once into a rolling two-row
   /// scratch, and cell row i consumes face rows i and i+1.  Same face
-  /// values, same single accumulation per cell as the gather form.
+  /// values, same single accumulation per cell as the last-axis sweep.
   void sweepRangeKernelAxis0(size_t LineBegin, size_t LineEnd,
                              size_t CellBegin, size_t CellEnd) {
     static_assert(Dim == 2, "axis-0 kernel sweep is the 2D restructure");
@@ -372,7 +305,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Dependency-DAG step mode (TaskBackend only, Dim <= 2)
+  // Dependency-DAG step mode (TaskBackend only)
   //
   // The interior is carved once into a TileGrid over the update space
   // (lines x cells-along-last-axis; dimensions from stepDagTiles).  One

@@ -422,62 +422,3 @@ Problem<2> sacfd::isentropicVortex2D(size_t CellsPerAxis,
   P.EndTime = 10.0; // one full periodic transit
   return P;
 }
-
-namespace {
-
-Prim<3> prim3(double Rho, double U, double V, double W, double P) {
-  Prim<3> Prim_;
-  Prim_.Rho = Rho;
-  Prim_.Vel = {U, V, W};
-  Prim_.P = P;
-  return Prim_;
-}
-
-} // namespace
-
-Problem<3> sacfd::uniformFlow3D(size_t CellsPerAxis, unsigned GhostLayers) {
-  Problem<3> P;
-  P.Name = "uniform-3d";
-  P.Domain = Grid<3>::square(CellsPerAxis, 1.0, GhostLayers);
-  P.Boundary = BoundarySpec<3>::uniform(BcKind::Transmissive);
-  P.InitialState = [](const std::array<double, 3> &) {
-    return prim3(1.0, 0.3, -0.2, 0.1, 1.0);
-  };
-  P.EndTime = 1.0;
-  return P;
-}
-
-Problem<3> sacfd::sphericalBlast3D(size_t CellsPerAxis,
-                                   unsigned GhostLayers) {
-  Problem<3> P;
-  P.Name = "spherical-blast-3d";
-  P.Domain = Grid<3>::square(CellsPerAxis, 1.0, GhostLayers);
-  P.Boundary = BoundarySpec<3>::uniform(BcKind::Reflective);
-  P.InitialState = [](const std::array<double, 3> &X) {
-    double R2 = 0.0;
-    for (unsigned A = 0; A < 3; ++A)
-      R2 += (X[A] - 0.5) * (X[A] - 0.5);
-    return prim3(1.0, 0.0, 0.0, 0.0, R2 < 0.01 ? 10.0 : 1.0);
-  };
-  P.EndTime = 0.2;
-  return P;
-}
-
-Problem<3> sacfd::sodExtruded3D(size_t Cells, size_t TransverseCells,
-                                unsigned GhostLayers) {
-  Problem<3> P;
-  P.Name = "sod-extruded-3d";
-  double TransverseExtent =
-      static_cast<double>(TransverseCells) / static_cast<double>(Cells);
-  P.Domain = Grid<3>({Cells, TransverseCells, TransverseCells},
-                     {0.0, 0.0, 0.0},
-                     {1.0, TransverseExtent, TransverseExtent},
-                     GhostLayers);
-  P.Boundary = BoundarySpec<3>::uniform(BcKind::Transmissive);
-  P.InitialState = [](const std::array<double, 3> &X) {
-    return X[0] < 0.5 ? prim3(1.0, 0.0, 0.0, 0.0, 1.0)
-                      : prim3(0.125, 0.0, 0.0, 0.0, 0.1);
-  };
-  P.EndTime = 0.2;
-  return P;
-}

@@ -115,18 +115,6 @@ Problem<2> isentropicVortex2D(size_t CellsPerAxis,
 /// (periodic wrap of the translating vortex).
 Prim<2> isentropicVortexExact(double X, double Y, double T);
 
-/// Uniform free stream in 3D (rank-generic extension beyond the paper).
-Problem<3> uniformFlow3D(size_t CellsPerAxis, unsigned GhostLayers = 2);
-
-/// Spherical pressure burst in a closed reflective 3D box on [0, 1]^3
-/// (conservation and positivity workload); run to t = 0.2.
-Problem<3> sphericalBlast3D(size_t CellsPerAxis, unsigned GhostLayers = 2);
-
-/// Sod data extruded along y and z on [0, 1]^3 with transmissive ends:
-/// must evolve exactly like the 1D tube (dimensional consistency).
-Problem<3> sodExtruded3D(size_t Cells, size_t TransverseCells,
-                         unsigned GhostLayers = 2);
-
 } // namespace sacfd
 
 #endif // SACFD_SOLVER_PROBLEMS_H

@@ -146,7 +146,7 @@ private:
     (void)TimeBefore;
     FieldHealth<Dim> H = fieldHealth(Solver);
     Samples.push_back({Solver.stepCount(), Solver.time(), Dt,
-                       conservedTotals(Solver), H.MinDensity,
+                       Solver.conservedTotals(), H.MinDensity,
                        H.MinPressure});
   }
 

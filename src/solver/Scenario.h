@@ -132,8 +132,6 @@ private:
 
 /// One registered workload of rank \p Dim.
 template <unsigned Dim> struct Scenario {
-  static_assert(Dim == 1 || Dim == 2, "registry covers 1D/2D workloads");
-
   /// Registry key; also the spec name (lowercase-dash).
   std::string Name;
   /// One-line description for gallery listings.

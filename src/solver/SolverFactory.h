@@ -73,10 +73,8 @@ public:
                                                       Cfg.Scheme, *Exec,
                                                       Cfg.Simd);
       if (Cfg.Step == StepMode::Dag && !Fused->enableDagStepping()) {
-        // resolve() validated backend/engine, so the only ways here are a
-        // 3D problem or a hand-built RunConfig that skipped resolve().
-        if constexpr (Dim > 2)
-          reportFatalError("--step-mode=dag supports 1D/2D problems only");
+        // resolve() validated backend/engine, so the only way here is a
+        // hand-built RunConfig that skipped resolve().
         reportFatalError("--step-mode=dag requires the tasks backend");
       }
       Solver = std::move(Fused);

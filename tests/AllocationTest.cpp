@@ -110,9 +110,12 @@ TEST(AllocationTest, CounterSeesDirectNDArrayAllocations) {
 /// every step, each restored from the previous one's field and clock:
 /// no step can read a buffer recycled from an earlier step.  Within a
 /// step the RK stages still recycle buffers exactly as the pooled run
-/// does (the solver API has no per-stage restart), so a stale read
-/// across stages would show in both runs alike: this reference covers
-/// step-to-step reuse only.
+/// does (the solver API has no per-stage restart), so in a Release build
+/// this reference covers step-to-step reuse only.  Builds without NDEBUG
+/// (Debug, the ASan job) catch cross-stage reuse too: there
+/// FieldPool::acquireUninit hands out NaN-filled buffers, so a stage that
+/// reads one before writing it poisons both runs, and maxFieldDifference
+/// reports the NaN.
 template <unsigned Dim>
 std::unique_ptr<EulerSolver<Dim>> runOnColdPools(const std::string &Engine,
                                                  const Problem<Dim> &Prob,

@@ -194,3 +194,18 @@ TEST(Characteristics, ShearWaveIsolatedByDecomposition2D) {
   EXPECT_NEAR(W[3], 0.0, 1e-12);
   EXPECT_GT(std::fabs(W[2]), 0.5);
 }
+
+TEST(Characteristics3D, RoundTripAtRankThree) {
+  Gas G;
+  Prim<3> W;
+  W.Rho = 0.9;
+  W.Vel = {0.4, -0.7, 0.2};
+  W.P = 1.3;
+  for (unsigned Axis = 0; Axis < 3; ++Axis) {
+    EigenSystem<3> ES(roeAverage(W, W, G), G, Axis);
+    Cons<3> Q = toCons(W, G);
+    Cons<3> Back = ES.fromCharacteristic(ES.toCharacteristic(Q));
+    for (unsigned K = 0; K < 5; ++K)
+      EXPECT_NEAR(Back.comp(K), Q.comp(K), 1e-12) << "axis " << Axis;
+  }
+}

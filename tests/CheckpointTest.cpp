@@ -178,19 +178,6 @@ TEST(Checkpoint, CrossEngineRestore) {
   std::remove(Path.c_str());
 }
 
-TEST(Checkpoint, ThreeDimensionalRoundTrip) {
-  ArraySolver<3> S(sphericalBlast3D(6), SchemeConfig::benchmarkScheme(),
-                   Exec);
-  S.advanceSteps(2);
-  std::string Path = tempPath("rank3.ckp");
-  ASSERT_TRUE(saveCheckpoint(Path, S).ok());
-  ArraySolver<3> T(sphericalBlast3D(6), SchemeConfig::benchmarkScheme(),
-                   Exec);
-  ASSERT_TRUE(loadCheckpoint(Path, T).ok());
-  EXPECT_EQ(maxFieldDifference(S, T), 0.0);
-  std::remove(Path.c_str());
-}
-
 //===----------------------------------------------------------------------===//
 // v1 compatibility
 //===----------------------------------------------------------------------===//

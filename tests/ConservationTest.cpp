@@ -75,7 +75,7 @@ void checkClosedBoxConservation(const SchemeConfig &Scheme) {
 
   // The gauge channel must agree with the direct diagnostic on the final
   // state — same serial interior sum, so to the last ulp.
-  ConservedTotals<2> Final = conservedTotals(S);
+  ConservedTotals<2> Final = S.conservedTotals();
   EXPECT_DOUBLE_EQ(Mass->last(), Final.Mass);
   EXPECT_DOUBLE_EQ(Energy->last(), Final.Energy);
 

@@ -95,9 +95,9 @@ TEST(Convergence, PeriodicDomainConservesEverything) {
   // (fluxes cancel in pairs).
   SchemeConfig C = SchemeConfig::figureScheme();
   ArraySolver<1> S(smoothAdvectionProblem(64), C, Exec);
-  ConservedTotals<1> Before = conservedTotals(S);
+  ConservedTotals<1> Before = S.conservedTotals();
   S.advanceSteps(40);
-  ConservedTotals<1> After = conservedTotals(S);
+  ConservedTotals<1> After = S.conservedTotals();
   EXPECT_NEAR(After.Mass, Before.Mass, 1e-13 * Before.Mass);
   EXPECT_NEAR(After.Momentum[0], Before.Momentum[0],
               1e-13 * std::fabs(Before.Momentum[0]));
@@ -129,7 +129,7 @@ TEST(Convergence, SmoothAdvection2DDiagonal) {
     }
   EXPECT_LT(Err, 4e-3);
   // And mass stays exact on the doubly periodic box.
-  ConservedTotals<2> T = conservedTotals(S);
+  ConservedTotals<2> T = S.conservedTotals();
   EXPECT_NEAR(T.Mass, 1.0, 1e-12);
 }
 
@@ -180,9 +180,9 @@ TEST(Convergence, IsentropicVortexSecondOrderPlus) {
 TEST(Convergence, IsentropicVortexConservesEverything) {
   SchemeConfig C = SchemeConfig::figureScheme();
   ArraySolver<2> S(isentropicVortex2D(24), C, Exec);
-  ConservedTotals<2> Before = conservedTotals(S);
+  ConservedTotals<2> Before = S.conservedTotals();
   S.advanceSteps(15);
-  ConservedTotals<2> After = conservedTotals(S);
+  ConservedTotals<2> After = S.conservedTotals();
   EXPECT_NEAR(After.Mass, Before.Mass, 1e-12 * Before.Mass);
   EXPECT_NEAR(After.Energy, Before.Energy, 1e-12 * Before.Energy);
   EXPECT_NEAR(After.Momentum[0], Before.Momentum[0],

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <cstdint>
 
 using namespace sacfd;
@@ -60,11 +62,30 @@ TEST(FieldPoolTest, UninitAcquireSkipsReZeroing) {
     L->fill(42.0);
   }
   FieldPool::Lease<double> L = Pool.acquireUninit<double>(S);
-  // Same storage, contents untouched — the no-memset fast path.  (Safe
-  // only because pooled-buffer consumers overwrite every element.)
+  // Same storage, never re-zeroed.  With NDEBUG the contents are left
+  // untouched — the no-memset fast path (safe only because pooled-buffer
+  // consumers overwrite every element); without it every element is the
+  // NaN poison, so a read before the write shows.
   ASSERT_EQ(L->data(), Data);
-  for (double V : *L)
+  for (double V : *L) {
+#ifdef NDEBUG
     EXPECT_EQ(V, 42.0);
+#else
+    EXPECT_TRUE(std::isnan(V));
+#endif
+  }
+}
+
+TEST(FieldPoolTest, UninitAcquirePoisonsFreshBuffersInDebug) {
+  FieldPool Pool;
+  FieldPool::Lease<double> L = Pool.acquireUninit<double>(Shape{8});
+  for (double V : *L) {
+#ifdef NDEBUG
+    EXPECT_EQ(V, 0.0); // fresh NDArray storage is value-initialized
+#else
+    EXPECT_TRUE(std::isnan(V));
+#endif
+  }
 }
 
 TEST(FieldPoolTest, ShapeKeysIsolateBuckets) {

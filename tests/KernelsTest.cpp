@@ -135,7 +135,6 @@ template <unsigned Dim> void checkSspUpdate(uint64_t Seed, bool Broken) {
 
 TEST(Kernels, SspUpdateBitIdentity1D) { checkSspUpdate<1>(7, false); }
 TEST(Kernels, SspUpdateBitIdentity2D) { checkSspUpdate<2>(11, false); }
-TEST(Kernels, SspUpdateBitIdentity3D) { checkSspUpdate<3>(13, false); }
 TEST(Kernels, SspUpdateBrokenStates) { checkSspUpdate<2>(17, true); }
 
 // -------------------------------------------------------------------------
@@ -170,7 +169,6 @@ template <unsigned Dim> void checkMaxEigen(uint64_t Seed, bool Broken) {
 
 TEST(Kernels, MaxEigenBitIdentity1D) { checkMaxEigen<1>(23, false); }
 TEST(Kernels, MaxEigenBitIdentity2D) { checkMaxEigen<2>(29, false); }
-TEST(Kernels, MaxEigenBitIdentity3D) { checkMaxEigen<3>(31, false); }
 TEST(Kernels, MaxEigenBrokenStates) { checkMaxEigen<2>(37, true); }
 
 // -------------------------------------------------------------------------
@@ -207,7 +205,6 @@ TEST(Kernels, FluxHll1D) { checkFluxFaces<1>(RiemannKind::Hll, 47, false); }
 TEST(Kernels, FluxHll2D) { checkFluxFaces<2>(RiemannKind::Hll, 53, false); }
 TEST(Kernels, FluxHllc1D) { checkFluxFaces<1>(RiemannKind::Hllc, 59, false); }
 TEST(Kernels, FluxHllc2D) { checkFluxFaces<2>(RiemannKind::Hllc, 61, false); }
-TEST(Kernels, FluxHllc3D) { checkFluxFaces<3>(RiemannKind::Hllc, 67, false); }
 TEST(Kernels, FluxRoe2D) { checkFluxFaces<2>(RiemannKind::Roe, 71, false); }
 TEST(Kernels, FluxHllcBrokenStates) {
   checkFluxFaces<2>(RiemannKind::Hllc, 73, true);
@@ -346,7 +343,6 @@ void checkReconstructFaces(uint64_t Seed, bool Broken) {
 
 TEST(Kernels, ReconstructFacesBitIdentity1D) { checkReconstructFaces<1>(107, false); }
 TEST(Kernels, ReconstructFacesBitIdentity2D) { checkReconstructFaces<2>(109, false); }
-TEST(Kernels, ReconstructFacesBitIdentity3D) { checkReconstructFaces<3>(113, false); }
 TEST(Kernels, ReconstructFacesBrokenStates) { checkReconstructFaces<2>(127, true); }
 
 // -------------------------------------------------------------------------
@@ -385,7 +381,6 @@ template <unsigned Dim> void checkCopyZeroDiv(uint64_t Seed) {
 
 TEST(Kernels, CopyZeroDivergence1D) { checkCopyZeroDiv<1>(83); }
 TEST(Kernels, CopyZeroDivergence2D) { checkCopyZeroDiv<2>(89); }
-TEST(Kernels, CopyZeroDivergence3D) { checkCopyZeroDiv<3>(97); }
 
 // Overlapping Lo/Hi views of one face line — the engines' usage.
 TEST(Kernels, DivergenceOverlappingFaceLine) {

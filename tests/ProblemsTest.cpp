@@ -231,27 +231,10 @@ TEST(Problems, IsentropicVortexTranslatesWithPeriodicWrap) {
   EXPECT_NEAR(A.P, B.P, 1e-12);
 }
 
-TEST(Problems, SodExtruded3DGeometry) {
-  Problem<3> P = sodExtruded3D(32, 4);
-  EXPECT_EQ(P.Domain.cells(0), 32u);
-  EXPECT_EQ(P.Domain.cells(1), 4u);
-  EXPECT_EQ(P.Domain.cells(2), 4u);
-  // Cubic cells: dx = dy = dz.
-  EXPECT_NEAR(P.Domain.dx(0), P.Domain.dx(1), 1e-15);
-  EXPECT_NEAR(P.Domain.dx(0), P.Domain.dx(2), 1e-15);
-  // x-dependence only.
-  Prim<3> A = P.InitialState({0.2, 0.01, 0.09});
-  Prim<3> B = P.InitialState({0.2, 0.11, 0.02});
-  EXPECT_EQ(A.Rho, B.Rho);
-}
-
 TEST(Problems, UniformFlowsAreActuallyUniform) {
   Problem<1> P1 = uniformFlow1D(8);
   Problem<2> P2 = uniformFlow2D(8);
-  Problem<3> P3 = uniformFlow3D(8);
   EXPECT_EQ(P1.InitialState({0.1}).Rho, P1.InitialState({0.9}).Rho);
   EXPECT_EQ(P2.InitialState({0.1, 0.2}).P,
             P2.InitialState({0.8, 0.6}).P);
-  EXPECT_EQ(P3.InitialState({0.1, 0.2, 0.3}).Vel[2],
-            P3.InitialState({0.9, 0.8, 0.7}).Vel[2]);
 }

@@ -274,3 +274,21 @@ TEST(RiemannSolvers, NameParsingRoundTrip) {
   EXPECT_EQ(parseRiemannKind("llf"), RiemannKind::Rusanov);
   EXPECT_FALSE(parseRiemannKind("osher").has_value());
 }
+
+TEST(RiemannSolvers3D, ConsistencyAtRankThree) {
+  Gas G;
+  Prim<3> W;
+  W.Rho = 1.2;
+  W.Vel = {0.5, -0.1, 0.3};
+  W.P = 0.8;
+  Cons<3> Q = toCons(W, G);
+  for (RiemannKind K : {RiemannKind::Rusanov, RiemannKind::Hll,
+                        RiemannKind::Hllc, RiemannKind::Roe})
+    for (unsigned Axis = 0; Axis < 3; ++Axis) {
+      Cons<3> F = numericalFlux(K, Q, Q, G, Axis);
+      Cons<3> Exact = physicalFlux(Q, G, Axis);
+      for (unsigned Comp = 0; Comp < 5; ++Comp)
+        EXPECT_NEAR(F.comp(Comp), Exact.comp(Comp), 1e-12)
+            << riemannKindName(K) << " axis " << Axis;
+    }
+}

@@ -172,9 +172,9 @@ TEST(Solver1D, MassAndEnergyConservedInClosedDomain) {
   SchemeConfig C = SchemeConfig::figureScheme();
   ArraySolver<1> S(P, C, Exec);
 
-  ConservedTotals<1> Before = conservedTotals(S);
+  ConservedTotals<1> Before = S.conservedTotals();
   S.advanceSteps(60);
-  ConservedTotals<1> After = conservedTotals(S);
+  ConservedTotals<1> After = S.conservedTotals();
 
   EXPECT_NEAR(After.Mass, Before.Mass, 1e-12 * Before.Mass);
   EXPECT_NEAR(After.Energy, Before.Energy, 1e-12 * Before.Energy);

@@ -175,9 +175,9 @@ TEST(Solver2D, ConservationInClosedBox) {
 
   SchemeConfig C = SchemeConfig::figureScheme();
   ArraySolver<2> S(P, C, Exec);
-  ConservedTotals<2> Before = conservedTotals(S);
+  ConservedTotals<2> Before = S.conservedTotals();
   S.advanceSteps(25);
-  ConservedTotals<2> After = conservedTotals(S);
+  ConservedTotals<2> After = S.conservedTotals();
 
   EXPECT_NEAR(After.Mass, Before.Mass, 1e-12 * Before.Mass);
   EXPECT_NEAR(After.Energy, Before.Energy, 1e-12 * Before.Energy);
